@@ -4,6 +4,7 @@ of singular beta-Wishart matrices, with a Monte Carlo cross-check harness."""
 from .partitions import (
     Partition,
     conjugate,
+    lower_hook_product,
     normalize,
     partitions_of,
     upper_hook_product,
@@ -14,8 +15,6 @@ from .esym import (
     LBRow,
     NotSymmetricError,
     apply_operator,
-    appendix_moves,
-    appendix_row,
     eigenvalue_closed_form,
     elementary_values,
     laplace_beltrami_eigenvalue,

@@ -6,7 +6,8 @@ simulation subcommands print an envelope with the echoed command, parameters,
 rows, and truncation metadata (JSON), or the rows alone (CSV).
 
 Set JACKRATIO_CACHE_DIR to persist the memoized Jack expansion tables between
-invocations; table reproduction commands reuse whatever the directory holds.
+invocations of `jack expand` and `jack product`, the commands that build
+them; the distribution commands use closed forms and never touch it.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     je.add_argument("--beta", type=_parse_beta_rational, default=Fraction(1))
     je.add_argument("--m", type=int, required=True)
     _add_common(je)
-    je.set_defaults(handler=_cmd_jack_expand, default_format="json")
+    je.set_defaults(handler=_cmd_jack_expand, default_format="json", snapshot=True)
 
     jp = jsub.add_parser("product", help="linearize a product of two Jack polynomials")
     jp.add_argument("--left", type=_parse_partition, required=True)
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     jp.add_argument("--beta", type=_parse_beta_rational, default=Fraction(1))
     jp.add_argument("--m", type=int, required=True)
     _add_common(jp)
-    jp.set_defaults(handler=_cmd_jack_product, default_format="json")
+    jp.set_defaults(handler=_cmd_jack_product, default_format="json", snapshot=True)
 
     lb = sub.add_parser("lb-row", help="differential operator action on one basis element")
     lb.add_argument("--nu", type=_parse_partition, required=True)
@@ -342,11 +343,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.m_grid = _parse_grid(args.m_grid)
 
     cache_dir = os.environ.get("JACKRATIO_CACHE_DIR")
-    cache_path = os.path.join(cache_dir, "jack_cache.json") if cache_dir else None
+    cache_path = (os.path.join(cache_dir, "jack_cache.json")
+                  if cache_dir and getattr(args, "snapshot", False) else None)
     if cache_path and os.path.exists(cache_path):
         try:
             load_expansion_cache(cache_path)
-        except (ValueError, OSError, KeyError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"ignoring unusable cache {cache_path}: {exc}", file=sys.stderr)
 
     try:

@@ -6,7 +6,10 @@ spectrum l_1 >= ... >= l_n > 0.  The cumulative distribution of
 x = 1 - l_n/l_1 admits a series whose terms are indexed by partition
 triples (kappa, tau, delta) in at most n-1 parts, with coefficients built
 from Jack polynomial linearization numbers, generalized Pochhammer symbols,
-and values of Jack polynomials at the identity.
+and values of Jack polynomials at the identity.  The kappa sum only ever
+enters as (x_1 + ... + x_{n-1})^k C_tau, so the linearization numbers are
+never formed one by one: the tables apply the closed-form Pieri rule k
+times to the delta functional instead (see SeriesTable._build).
 
 Everything inside the double series is an exact rational; the only
 transcendental content is one leading constant (gamma functions and a
@@ -28,20 +31,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .jack import jack_at_identity, jack_product, jack_product_with_trace_power
-from .partitions import Partition, partitions_of
+from .partitions import partitions_of
 from .special import (
     SignedLogValue,
     gen_pochhammer_exact,
+    jack_at_identity,
     log_fraction,
     log_multivariate_gamma,
     pi_exponent,
+    pieri_coefficients,
     rising_factorial,
 )
 
@@ -84,7 +87,7 @@ class DistParams:
     @property
     def p(self) -> Fraction:
         """Vanishing threshold of the tau Pochhammer factor."""
-        return Fraction(self.beta * (self.m - self.n + 1), 2) - 1
+        return _threshold(self.m, self.n, self.beta)
 
     @property
     def resolved_K(self) -> int:
@@ -94,19 +97,28 @@ class DistParams:
 
     @property
     def resolved_t_max(self) -> int:
-        if self.t_max is not None:
-            return self.t_max
-        p = self.p
-        if p.denominator == 1 and p >= 0:
-            return int(p) * (self.n - 1)
-        raise ValueError(
-            "t_max has no finite default here (the inner series does not terminate); "
-            "pass t_max explicitly")
+        return _resolve_t_max(self.m, self.n, self.beta, self.t_max)
+
+
+def _threshold(m: int, n: int, beta: int) -> Fraction:
+    return Fraction(beta * (m - n + 1), 2) - 1
+
+
+def _resolve_t_max(m: int, n: int, beta: int, t_max: Optional[int]) -> int:
+    """t_max itself, or the order at which the inner sum terminates by itself."""
+    if t_max is not None:
+        return t_max
+    p = _threshold(m, n, beta)
+    if p.denominator == 1 and p >= 0:
+        return int(p) * (n - 1)
+    raise ValueError(
+        "t_max has no finite default here (the inner series does not terminate); "
+        "pass t_max explicitly")
 
 
 @dataclass(frozen=True)
 class _SeriesSpec:
-    """Raw ingredients of one truncated series, shared by both assembly routes."""
+    """Raw ingredients of one truncated series."""
     nvars: int
     beta: Fraction
     a_tau: Fraction
@@ -119,86 +131,42 @@ class _SeriesSpec:
     t_max: int
 
 
-@dataclass(frozen=True)
-class SeriesTermRecord:
-    """One fully factored series term, for auditing the assembly."""
-    k: int
-    kappa: Partition
-    t: int
-    tau: Partition
-    delta: Partition
-    linearization: Fraction
-    jack_identity: Fraction
-    poch_tau: SignedLogValue
-    poch_delta_num: SignedLogValue
-    poch_delta_den: SignedLogValue
-    scalar: SignedLogValue
-    combined: SignedLogValue
+def _spec(m: int, n: int, beta: int, K: int, t_max: Optional[int]) -> _SeriesSpec:
+    """The series of an m x n matrix; m = n is allowed here (real case only)."""
+    b = Fraction(beta)
+    return _SeriesSpec(
+        nvars=n - 1,
+        beta=b,
+        a_tau=Fraction(n - m - 1) * b / 2 + 1,
+        a_num=Fraction(n) * b / 2 + 1,
+        a_den=Fraction(n - 1) * b + 2,
+        rho=int(Fraction((n - 1) * (n * beta + 2), 2)),
+        gamma_arg=Fraction(m * n) * b / 2,
+        base=n,
+        K=K,
+        t_max=_resolve_t_max(m, n, beta, t_max),
+    )
 
 
 def _spec_for(params: DistParams) -> _SeriesSpec:
-    beta = Fraction(params.beta)
-    m, n = params.m, params.n
-    return _SeriesSpec(
-        nvars=n - 1,
-        beta=beta,
-        a_tau=Fraction(n - m - 1) * beta / 2 + 1,
-        a_num=Fraction(n) * beta / 2 + 1,
-        a_den=Fraction(n - 1) * beta + 2,
-        rho=int(Fraction((n - 1) * (n * params.beta + 2), 2)),
-        gamma_arg=Fraction(m * n) * beta / 2,
-        base=n,
-        K=params.resolved_K,
-        t_max=params.resolved_t_max,
-    )
+    return _spec(params.m, params.n, params.beta, params.resolved_K, params.t_max)
 
 
-def _general_spec(n1: int, n2: int, K: int, t_max: Optional[int]) -> _SeriesSpec:
-    if not (2 <= n1 <= n2):
-        raise ValueError("need 2 <= n1 <= n2")
-    if t_max is None:
-        p = Fraction(n2 - n1 - 1, 2)
-        if p.denominator == 1 and p >= 0:
-            t_max = int(p) * (n1 - 1)
-        else:
-            raise ValueError("t_max required: the inner series does not terminate")
-    return _SeriesSpec(
-        nvars=n1 - 1,
-        beta=Fraction(1),
-        a_tau=Fraction(n1 - n2 + 1, 2),
-        a_num=Fraction(n1 + 2, 2),
-        a_den=Fraction(n1 + 1),
-        rho=(n1 - 1) * (n1 + 2) // 2,
-        gamma_arg=Fraction(n1 * n2, 2),
-        base=n1,
-        K=K,
-        t_max=t_max,
-    )
+def _constant(m: int, n: int, beta: int) -> SignedLogValue:
+    b = Fraction(beta)
+    out = log_multivariate_gamma(b, n - 1, Fraction(n) * b / 2 + 1)
+    out = out * log_multivariate_gamma(b, n - 1, Fraction(n - 2) * b / 2 + 1)
+    out = out.scale_log(float(pi_exponent("r", b, n)) * math.log(math.pi))
+    out = out / log_multivariate_gamma(b, n - 1, Fraction(n - 1) * b + 2)
+    out = out.scale_log(-float(Fraction(m * n) * b / 2) * math.log(n))
+    out = out / SignedLogValue(1, math.lgamma(float(Fraction(n) * b / 2)))
+    out = out / log_multivariate_gamma(b, n, Fraction(m) * b / 2)
+    return out
 
 
 def leading_constant(params: DistParams) -> SignedLogValue:
     """The closed-form constant multiplying the whole series (positive)."""
-    beta = Fraction(params.beta)
-    m, n = params.m, params.n
-    out = log_multivariate_gamma(beta, n - 1, Fraction(n) * beta / 2 + 1)
-    out = out * log_multivariate_gamma(beta, n - 1, Fraction(n - 2) * beta / 2 + 1)
-    out = out.scale_log(float(pi_exponent("r", beta, n)) * math.log(math.pi))
-    out = out / log_multivariate_gamma(beta, n - 1, Fraction(n - 1) * beta + 2)
-    out = out.scale_log(-float(Fraction(m * n) * beta / 2) * math.log(n))
-    out = out / SignedLogValue(1, math.lgamma(float(Fraction(n) * beta / 2)))
-    out = out / log_multivariate_gamma(beta, n, Fraction(m) * beta / 2)
-    return out
-
-
-def _general_constant(n1: int, n2: int) -> SignedLogValue:
-    out = SignedLogValue.exp(Fraction(n1, 2) * math.log(math.pi))
-    out = out * log_multivariate_gamma(1, n1 - 1, Fraction(n1 + 2, 2))
-    out = out * log_multivariate_gamma(1, n1 - 1, Fraction(n1, 2))
-    out = out / log_multivariate_gamma(1, n1 - 1, Fraction(n1 + 1))
-    out = out.scale_log(-float(Fraction(n1 * n2, 2)) * math.log(n1))
-    out = out / SignedLogValue(1, math.lgamma(n1 / 2))
-    out = out / log_multivariate_gamma(1, n1, Fraction(n2, 2))
-    return out
+    return _constant(params.m, params.n, params.beta)
 
 
 class SeriesTable:
@@ -209,13 +177,12 @@ class SeriesTable:
     const * sum c[k,t] * (rho+k+t)/(rho+k+t+h).  All c[k,t] are Fractions.
     """
 
-    def __init__(self, spec: _SeriesSpec, const: SignedLogValue, audit: bool = False):
+    def __init__(self, spec: _SeriesSpec, const: SignedLogValue):
         self.spec = spec
         self.const = const
         self.rho = spec.rho
         self.coeffs: Dict[Tuple[int, int], Fraction] = {}
-        self.records: Optional[List[SeriesTermRecord]] = [] if audit else None
-        self._build(audit)
+        self._build()
         self._collapsed: Optional[List[Fraction]] = None
         self._float_coeffs = None
         self._warned = False
@@ -223,67 +190,36 @@ class SeriesTable:
 
     # -- assembly -----------------------------------------------------------
 
-    def _delta_factor(self, delta: Partition) -> Fraction:
-        cache = self._delta_cache
-        val = cache.get(delta)
-        if val is None:
-            s = self.spec
-            num = gen_pochhammer_exact(s.a_num, delta, s.beta)
-            den = gen_pochhammer_exact(s.a_den, delta, s.beta)
-            ident = jack_at_identity(delta, s.beta, s.nvars)
-            val = num * ident / den
-            cache[delta] = val
-        return val
+    def _build(self) -> None:
+        """c[k,t] = scalar_k / t! * sum_{|tau|=t} [a_tau]_tau L_k(tau), where
 
-    def _build(self, audit: bool) -> None:
+            L_0(delta) = [a_num]_delta C_delta(I) / [a_den]_delta
+            L_{k+1}(lam) = sum_mu pieri(lam -> mu) L_k(mu)
+
+        so L_k(tau) is L_0 applied to the expansion of p_1^k C_tau.  L_k is
+        needed up to weight K + t_max - k only.
+        """
         s = self.spec
-        self._delta_cache: Dict[Partition, Fraction] = {}
-        tau_pochhammers: Dict[Partition, Fraction] = {}
-        for t in range(s.t_max + 1):
-            for tau in partitions_of(t, s.nvars):
-                v = gen_pochhammer_exact(s.a_tau, tau, s.beta)
-                if v:
-                    tau_pochhammers[tau] = v
+        top = s.K + s.t_max
+        by_weight = [partitions_of(w, s.nvars) for w in range(top + 1)]
+        level = {delta: gen_pochhammer_exact(s.a_num, delta, s.beta) *
+                 jack_at_identity(delta, s.beta, s.nvars) /
+                 gen_pochhammer_exact(s.a_den, delta, s.beta)
+                 for parts in by_weight for delta in parts}
+        moves = {lam: pieri_coefficients(lam, s.beta, s.nvars)
+                 for parts in by_weight[:top] for lam in parts}
+        tau_terms = [[(tau, v) for tau in by_weight[t]
+                      if (v := gen_pochhammer_exact(s.a_tau, tau, s.beta))]
+                     for t in range(s.t_max + 1)]
         for k in range(s.K + 1):
+            if k:
+                level = {lam: sum((c * level[mu] for mu, c in moves[lam].items()), Fraction(0))
+                         for parts in by_weight[:top - k + 1] for lam in parts}
             scalar_k = rising_factorial(s.gamma_arg, k) / (Fraction(s.base) ** k * factorial(k))
-            for t in range(s.t_max + 1):
-                cell = Fraction(0)
-                scalar = scalar_k / factorial(t)
-                for tau in partitions_of(t, s.nvars):
-                    ptau = tau_pochhammers.get(tau)
-                    if ptau is None:
-                        continue
-                    totals = jack_product_with_trace_power(k, tau, s.beta, s.nvars)
-                    inner = Fraction(0)
-                    for delta, g_total in totals.items():
-                        inner += g_total * self._delta_factor(delta)
-                    cell += ptau * inner
-                    if audit:
-                        self._record_cell(k, t, tau, ptau, scalar)
+            for t, terms in enumerate(tau_terms):
+                cell = sum((v * level[tau] for tau, v in terms), Fraction(0))
                 if cell:
-                    self.coeffs[(k, t)] = cell * scalar
-
-    def _record_cell(self, k: int, t: int, tau: Partition, ptau: Fraction,
-                     scalar: Fraction) -> None:
-        """Store per-(k, kappa, t, tau, delta) records via explicit pair products."""
-        s = self.spec
-        scalar_slv = log_fraction(scalar)
-        ptau_slv = log_fraction(ptau)
-        for kappa in partitions_of(k, s.nvars):
-            expansion = jack_product(kappa, tau, s.beta, s.nvars)
-            for delta, g in expansion.terms:
-                num = gen_pochhammer_exact(s.a_num, delta, s.beta)
-                den = gen_pochhammer_exact(s.a_den, delta, s.beta)
-                ident = jack_at_identity(delta, s.beta, s.nvars)
-                num_slv = log_fraction(num)
-                den_slv = log_fraction(den)
-                combined = (scalar_slv * log_fraction(g) * ptau_slv * num_slv *
-                            log_fraction(ident) / den_slv)
-                self.records.append(SeriesTermRecord(
-                    k=k, kappa=kappa, t=t, tau=tau, delta=delta,
-                    linearization=g, jack_identity=ident,
-                    poch_tau=ptau_slv, poch_delta_num=num_slv, poch_delta_den=den_slv,
-                    scalar=scalar_slv, combined=combined))
+                    self.coeffs[(k, t)] = cell * (scalar_k / factorial(t))
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -505,34 +441,28 @@ class SeriesTable:
         }
 
 
-_TABLE_CACHE: Dict[Tuple[_SeriesSpec, bool], SeriesTable] = {}
+_TABLE_CACHE: Dict[_SeriesSpec, SeriesTable] = {}
 
 
-def get_table(params: DistParams, audit: bool = False) -> SeriesTable:
+def _table(m: int, n: int, beta: int, K: int, t_max: Optional[int]) -> SeriesTable:
+    spec = _spec(m, n, beta, K, t_max)
+    table = _TABLE_CACHE.get(spec)
+    if table is None:
+        const = _constant(m, n, beta) * SignedLogValue(1, math.lgamma(float(spec.gamma_arg)))
+        table = _TABLE_CACHE[spec] = SeriesTable(spec, const)
+    return table
+
+
+def get_table(params: DistParams) -> SeriesTable:
     """The cached series table for one parameter set (built on first use)."""
-    spec = _spec_for(params)
-    key = (spec, audit)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = SeriesTable(spec, leading_constant(params) *
-                            SignedLogValue(1, math.lgamma(float(spec.gamma_arg))),
-                            audit=audit)
-        _TABLE_CACHE[key] = table
-    return table
+    return _table(params.m, params.n, params.beta, params.resolved_K, params.t_max)
 
 
-def get_general_table(n1: int, n2: int, K: int, t_max: Optional[int] = None,
-                      audit: bool = False) -> SeriesTable:
+def get_general_table(n1: int, n2: int, K: int, t_max: Optional[int] = None) -> SeriesTable:
     """Series table for the real-case formulation valid for any n1 <= n2."""
-    spec = _general_spec(n1, n2, K, t_max)
-    key = (spec, audit)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = SeriesTable(spec, _general_constant(n1, n2) *
-                            SignedLogValue(1, math.lgamma(float(spec.gamma_arg))),
-                            audit=audit)
-        _TABLE_CACHE[key] = table
-    return table
+    if not (2 <= n1 <= n2):
+        raise ValueError("need 2 <= n1 <= n2")
+    return _table(n2, n1, 1, K, t_max)
 
 
 # -- convenience wrappers ----------------------------------------------------

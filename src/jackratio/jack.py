@@ -9,12 +9,18 @@ remaining ones follow from C_kappa being an eigenvector of the operator in
 
 All expansions are cached per (kappa, beta, m); the cache can be saved to
 and restored from a JSON snapshot so repeated runs skip the recurrence.
+
+The series tables in `dist` use none of this: they need only the closed
+forms in `special` (values at the identity, re-exported here, and Pieri
+coefficients).  The expansions serve the symbolic command line and the
+tests, where they are an independent check on those closed forms.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -29,6 +35,7 @@ from .partitions import (
     upper_hook_product,
     weight,
 )
+from .special import jack_at_identity  # noqa: F401  (public name, defined in special)
 
 
 class DegenerateBetaError(ValueError):
@@ -172,29 +179,16 @@ def jack_evaluate(kappa: Partition, beta, xs) -> float:
     return jack_expansion(kappa, beta, m).evaluate(xs)
 
 
-def jack_at_identity(kappa: Partition, beta, m: int) -> Fraction:
-    """Exact value of C_kappa at (1, 1, ..., 1), via binomial values of e_i."""
-    from math import comb
-
-    expansion = jack_expansion(kappa, beta, m)
-    total = Fraction(0)
-    for key, c in expansion.terms.items():
-        padded = pad(key, m)
-        v = Fraction(1)
-        for i in range(m):
-            expo = padded[i] - (padded[i + 1] if i + 1 < m else 0)
-            if expo:
-                v *= Fraction(comb(m, i + 1)) ** expo
-        total += c * v
-    return total
-
-
 # ---------------------------------------------------------------------------
 # persistent cache snapshots
 # ---------------------------------------------------------------------------
 
 def save_expansion_cache(path: str) -> int:
-    """Write the in-memory expansion cache to a JSON snapshot; returns the entry count."""
+    """Write the in-memory expansion cache to a JSON snapshot; returns the entry count.
+
+    The snapshot goes to a fresh temporary file beside `path` first and
+    replaces `path` in one step, so concurrent writers never interleave.
+    """
     entries = []
     for (kappa, beta, m), poly in _EXPANSION_CACHE.items():
         entries.append({
@@ -204,39 +198,47 @@ def save_expansion_cache(path: str) -> int:
             "terms": {",".join(map(str, mu)): str(c) for mu, c in poly.terms.items()},
         })
     payload = {"version": CACHE_FORMAT_VERSION, "entries": entries}
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return len(entries)
 
 
 def load_expansion_cache(path: str) -> int:
     """Merge a JSON snapshot into the in-memory cache; returns entries loaded.
 
-    A snapshot with a different format version raises ValueError so callers
-    can drop it and rebuild instead of silently working from stale data.
+    A snapshot that is not valid JSON, has another format version or holds
+    a malformed entry raises ValueError, and nothing from it is merged, so
+    callers can drop it and rebuild instead of working from bad data.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except FileNotFoundError:
         return 0
-    found = payload.get("version")
+    found = payload.get("version") if isinstance(payload, dict) else None
     if found != CACHE_FORMAT_VERSION:
         raise ValueError(f"cache format version {found}, expected {CACHE_FORMAT_VERSION}")
-    count = 0
-    for entry in payload["entries"]:
-        kappa = normalize(entry["kappa"])
-        beta = Fraction(entry["beta"])
-        m = int(entry["m"])
-        terms = {}
-        for key, val in entry["terms"].items():
-            mu = normalize(int(p) for p in key.split(",") if p != "")
-            terms[mu] = Fraction(val)
-        _EXPANSION_CACHE[(kappa, beta, m)] = EPolynomial(terms, m)
-        count += 1
-    return count
+    loaded = {}
+    try:
+        for entry in payload["entries"]:
+            kappa = normalize(entry["kappa"])
+            beta = Fraction(entry["beta"])
+            m = int(entry["m"])
+            terms = {}
+            for key, val in entry["terms"].items():
+                mu = normalize(int(p) for p in key.split(",") if p != "")
+                terms[mu] = Fraction(val)
+            loaded[(kappa, beta, m)] = EPolynomial(terms, m)
+    except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed cache entry: {exc!r}") from exc
+    _EXPANSION_CACHE.update(loaded)
+    return len(loaded)
 
 
 def clear_caches() -> None:

@@ -45,9 +45,10 @@ def pad(kappa: Partition, m: int) -> Tuple[int, ...]:
 
 def conjugate(kappa: Partition) -> Partition:
     """Transpose of the Young diagram: column lengths become parts."""
-    if not kappa:
-        return ()
-    return tuple(sum(1 for p in kappa if p >= j) for j in range(1, kappa[0] + 1))
+    out = []
+    for i in range(len(kappa), 0, -1):  # columns of length exactly i
+        out.extend([i] * (kappa[i - 1] - (kappa[i] if i < len(kappa) else 0)))
+    return tuple(out)
 
 
 def lex_compare(kappa: Partition, mu: Partition) -> int:
@@ -110,14 +111,29 @@ def partitions_of(k: int, m: int) -> Tuple[Partition, ...]:
     return tuple(gen(k, k, m))
 
 
-def upper_hook_product(kappa: Partition, alpha: Fraction) -> Fraction:
-    """Product over the diagram cells (i, j) of kappa'_j - i + alpha*(kappa_i - j + 1)."""
+def _hook_product(kappa: Partition, alpha, arm_shift: int, leg_shift: int) -> Fraction:
+    """Product over the cells of leg + leg_shift + alpha*(arm + arm_shift).
+
+    alpha = A/B; each factor is B*(leg + leg_shift) + A*(arm + arm_shift) over
+    B, so the product is formed over integers and normalized once.
+    """
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    a, b = alpha.numerator, alpha.denominator
     conj = conjugate(kappa)
-    out = Fraction(1)
+    num = 1
     for i, part in enumerate(kappa, start=1):
         for j in range(1, part + 1):
-            out *= conj[j - 1] - i + alpha * (part - j + 1)
-    return out
+            num *= b * (conj[j - 1] - i + leg_shift) + a * (part - j + arm_shift)
+    return Fraction(num, b ** sum(kappa))
+
+
+def upper_hook_product(kappa: Partition, alpha: Fraction) -> Fraction:
+    """Product over the diagram cells (i, j) of kappa'_j - i + alpha*(kappa_i - j + 1)."""
+    return _hook_product(kappa, alpha, 1, 0)
+
+
+def lower_hook_product(kappa: Partition, alpha: Fraction) -> Fraction:
+    """Product over the diagram cells (i, j) of kappa'_j - i + 1 + alpha*(kappa_i - j)."""
+    return _hook_product(kappa, alpha, 0, 1)

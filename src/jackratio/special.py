@@ -5,6 +5,10 @@ quantities of interest do, so multiplicative constants are carried as a
 sign together with the log of the absolute value.  Exact-rational variants
 of the Pochhammer products are provided as well; the series code prefers
 those, converting to the log domain only at the very end.
+
+The two closed forms the series needs from Jack polynomial theory live here
+too: the value of C_kappa at the identity and the Pieri coefficients of
+(x_1 + ... + x_m) C_lambda.  Neither needs an expansion of C_kappa.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Dict, Union
 
-from .partitions import Partition, normalize
+from .partitions import (Partition, conjugate, lower_hook_product, normalize,
+                         upper_hook_product)
 
 Number = Union[int, float, Fraction]
 
@@ -160,20 +165,25 @@ def gen_pochhammer_exact(a, kappa: Partition, beta) -> Fraction:
 
         prod_{i} rising(a - (i-1)beta/2, kappa_i)
 
+    The factors share the denominator d of a and beta/2, so the product is
+    formed over their integer numerators and divided by d^|kappa| once.
     Returns Fraction(0) the moment any factor vanishes.
     """
     a = Fraction(a)
-    beta = Fraction(beta)
+    half = Fraction(beta) / 2
     kappa = normalize(kappa)
-    out = Fraction(1)
-    for i, part in enumerate(kappa, start=1):
-        base = a - Fraction(i - 1) * beta / 2
+    d = a.denominator * half.denominator
+    a_num = a.numerator * half.denominator
+    step = half.numerator * a.denominator
+    out = 1
+    for i, part in enumerate(kappa):
+        base = a_num - i * step
         for j in range(part):
-            f = base + j
+            f = base + j * d
             if f == 0:
                 return Fraction(0)
             out *= f
-    return out
+    return Fraction(out, d ** sum(kappa))
 
 
 def gen_pochhammer(a, kappa: Partition, beta) -> SignedLogValue:
@@ -215,3 +225,73 @@ def pi_exponent(which: str, beta, n: int) -> Fraction:
     if which == "r2":
         return Fraction(0) if real else -Fraction(n - 1) * beta / 2
     raise ValueError(f"unknown exponent name {which!r}")
+
+
+# ---------------------------------------------------------------------------
+# closed forms for Jack polynomials C_kappa (normalized to sum to p_1^k)
+# ---------------------------------------------------------------------------
+
+def _alpha(beta) -> Fraction:
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    return 2 / beta
+
+
+def jack_at_identity(kappa: Partition, beta, m: int) -> Fraction:
+    """Exact value of C_kappa at (1, 1, ..., 1) in m variables.
+
+    With alpha = 2/beta and k = |kappa| (Koev-Edelman 2006):
+
+        alpha^(2k) k! [m beta/2]_kappa / (h^*_kappa h_*^kappa)
+    """
+    kappa = normalize(kappa)
+    alpha = _alpha(beta)
+    if len(kappa) > m:
+        raise ValueError(f"C_{kappa} vanishes in {m} variables")
+    k = sum(kappa)
+    poch = gen_pochhammer_exact(Fraction(m) * beta / 2, kappa, beta)
+    hooks = upper_hook_product(kappa, alpha) * lower_hook_product(kappa, alpha)
+    return alpha ** (2 * k) * math.factorial(k) * poch / hooks
+
+
+def pieri_coefficients(lam: Partition, beta, m: int) -> Dict[Partition, Fraction]:
+    """Coefficient of each C_mu in (x_1 + ... + x_m) C_lam, in m variables.
+
+    mu is lam plus one box (i, j) in at most m rows.  The coefficient is
+    h^*_mu / (alpha (|lam|+1) h^*_lam) times prod_{r<i} b_mu(r,j)/b_lam(r,j),
+    b(s) = (alpha a + l + 1)/(alpha (a+1) + l) in the arm a and leg l of s
+    (Stanley 1989).  Only the hooks in row i and column j change, and over
+    column j the hook ratio cancels against the b's, leaving
+
+        1/(|lam|+1) * prod_{c<j} (l + alpha(a+2)) / (l + alpha(a+1))
+                    * prod_{r<i} (alpha a + i-r+1) / (alpha a + i-r)
+
+    with the arms and legs taken in lam, over integers after scaling by
+    alpha's denominator.
+    """
+    lam = normalize(lam)
+    alpha = _alpha(beta)
+    if len(lam) > m:
+        raise ValueError(f"C_{lam} vanishes in {m} variables")
+    a, b = alpha.numerator, alpha.denominator
+    conj = conjugate(lam)
+    size = sum(lam) + 1
+    out: Dict[Partition, Fraction] = {}
+    for i in range(1, min(len(lam) + 1, m) + 1):
+        row = lam[i - 1] if i <= len(lam) else 0
+        if i > 1 and lam[i - 2] == row:
+            continue  # no addable box in this row
+        j = row + 1
+        num, den = 1, size
+        for c in range(1, j):
+            leg = conj[c - 1] - i
+            num *= b * leg + a * (j - c + 1)
+            den *= b * leg + a * (j - c)
+        for r in range(1, i):
+            arm = lam[r - 1] - j
+            num *= a * arm + b * (i - r + 1)
+            den *= a * arm + b * (i - r)
+        mu = lam[:i - 1] + (j,) + lam[i:]
+        out[mu] = Fraction(num, den)
+    return out

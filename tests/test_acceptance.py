@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from appendix_recurrences import appendix_row
 from conftest import record
 from jackratio.cli import main
 from jackratio.dist import (DistParams, auto_converged_params, get_table,
                             get_general_table, TruncationWarning)
-from jackratio.esym import (EPolynomial, appendix_row, apply_operator,
+from jackratio.esym import (EPolynomial, apply_operator,
                             eigenvalue_closed_form, laplace_beltrami_row)
 from jackratio.jack import e_to_jack, jack_expansion, jack_product
 from jackratio.mc import (McConfig, empirical_moments, empirical_quantile,

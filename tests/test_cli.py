@@ -246,6 +246,28 @@ def test_cache_dir_round_trip(capsys, tmp_path, monkeypatch):
     assert "ignoring unusable cache" in err
 
 
+def test_cache_dir_list_payload_is_reported(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("JACKRATIO_CACHE_DIR", str(tmp_path))
+    cache = tmp_path / "jack_cache.json"
+    cache.write_text("[1, 2]")
+    code, out, err = run(capsys, "jack", "expand", "--kappa", "2,1", "--m", "3")
+    assert code == 0
+    assert "ignoring unusable cache" in err
+    assert json.loads(out)
+    assert json.loads(cache.read_text())["version"] == 1
+
+
+def test_dist_commands_leave_cache_dir_alone(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("JACKRATIO_CACHE_DIR", str(tmp_path))
+    cache = tmp_path / "jack_cache.json"
+    cache.write_text("[1, 2]")
+    code, _, err = run(capsys, "dist", "cdf", "--m", "5", "--n", "2", "--K", "10",
+                       "--x", "0.5")
+    assert code == 0
+    assert err == ""
+    assert cache.read_text() == "[1, 2]"
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["dist", "table1", "--variant", "b"])

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import jackratio.dist as dist_mod
+from jackratio import esym, jack
 from jackratio.dist import (DistParams, SeriesTable, TruncationError,
                             TruncationWarning, auto_converged_params,
                             cdf_truncated, get_general_table, get_table,
                             leading_constant, moment, pdf, pdf_general_beta1,
                             quantile, summary_stats, _spec_for)
-from jackratio.special import (SignedLogValue, gen_pochhammer_exact,
-                               rising_factorial)
+from jackratio.jack import jack_expansion, jack_product
+from jackratio.partitions import partitions_of
+from jackratio.special import gen_pochhammer_exact, rising_factorial
 
 
-def quiet_table(params, audit=False):
+def quiet_table(params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        return get_table(params, audit=audit)
+        return get_table(params)
 
 
 # -- parameter validation -----------------------------------------------------
@@ -164,8 +167,7 @@ def test_float_fallback_under_cancellation():
 # -- convergence monitor --------------------------------------------------------
 
 def test_truncation_warning_fires_once_when_unconverged():
-    import jackratio.dist as dist_mod
-    key = (_spec_for(DistParams(m=10, n=3, beta=1, K=25)), False)
+    key = _spec_for(DistParams(m=10, n=3, beta=1, K=25))
     dist_mod._TABLE_CACHE.pop(key, None)
     with pytest.warns(TruncationWarning):
         cdf_truncated(DistParams(m=10, n=3, beta=1, K=25), 0.5)
@@ -220,50 +222,55 @@ def test_quantile_beyond_truncated_mass_raises():
         table.quantile(0.999)
 
 
-# -- audit records ----------------------------------------------------------------
+# -- the Pieri recurrence against explicit pair products ----------------------
 
-def test_audit_records_reproduce_coefficients_exactly():
-    params = DistParams(m=10, n=3, beta=1, K=5)
-    table = quiet_table(params, audit=True)
-    spec = table.spec
+def pairwise_product_coeffs(params):
+    """c[k,t] assembled term by term from the E-basis products C_kappa * C_tau.
+
+    Sums scalar_k/t! [a_tau]_tau g^delta_{kappa,tau} [a_num]_delta C_delta(I)
+    / [a_den]_delta over kappa of weight k, tau of weight t and every delta,
+    with g from `jack_product` and C_delta(I) from evaluating the expansion.
+    """
+    s = _spec_for(params)
+    ones = [Fraction(1)] * s.nvars
     cells = {}
-    for r in table.records:
-        scalar = (rising_factorial(spec.gamma_arg, r.k) /
-                  (Fraction(spec.base) ** r.k * math.factorial(r.k) *
-                   math.factorial(r.t)))
-        ptau = gen_pochhammer_exact(spec.a_tau, r.tau, spec.beta)
-        num = gen_pochhammer_exact(spec.a_num, r.delta, spec.beta)
-        den = gen_pochhammer_exact(spec.a_den, r.delta, spec.beta)
-        term = scalar * r.linearization * ptau * num * r.jack_identity / den
-        cells[(r.k, r.t)] = cells.get((r.k, r.t), Fraction(0)) + term
-    cells = {kt: v for kt, v in cells.items() if v}
-    assert cells == table.coeffs
+    for k in range(s.K + 1):
+        scalar_k = rising_factorial(s.gamma_arg, k) / (Fraction(s.base) ** k * math.factorial(k))
+        for t in range(s.t_max + 1):
+            for tau in partitions_of(t, s.nvars):
+                ptau = gen_pochhammer_exact(s.a_tau, tau, s.beta)
+                if not ptau:
+                    continue
+                for kappa in partitions_of(k, s.nvars):
+                    for delta, g in jack_product(kappa, tau, s.beta, s.nvars).terms:
+                        ident = jack_expansion(delta, s.beta, s.nvars).evaluate(ones)
+                        term = (scalar_k / math.factorial(t) * g * ptau * ident *
+                                gen_pochhammer_exact(s.a_num, delta, s.beta) /
+                                gen_pochhammer_exact(s.a_den, delta, s.beta))
+                        cells[(k, t)] = cells.get((k, t), Fraction(0)) + term
+    return {kt: v for kt, v in cells.items() if v}
 
 
-def test_audit_record_combined_matches_factors():
-    params = DistParams(m=10, n=3, beta=2, K=3)
-    table = quiet_table(params, audit=True)
-    assert table.records
-    for r in table.records:
-        rebuilt = (r.scalar * r.poch_tau * r.poch_delta_num *
-                   SignedLogValue.from_fraction(r.linearization) *
-                   SignedLogValue.from_fraction(r.jack_identity) /
-                   r.poch_delta_den)
-        if rebuilt.is_zero():
-            assert r.combined.is_zero()
-        else:
-            assert r.combined.sign == rebuilt.sign
-            assert r.combined.log_abs == pytest.approx(rebuilt.log_abs, abs=1e-13)
+def test_coeffs_match_pairwise_product_oracle():
+    for params in (DistParams(m=10, n=3, beta=1, K=5),
+                   DistParams(m=10, n=3, beta=4, K=3),
+                   DistParams(m=6, n=4, beta=2, K=3)):
+        assert quiet_table(params).coeffs == pairwise_product_coeffs(params), params
 
 
-def test_audit_never_stores_zero_pochhammer():
-    table = quiet_table(DistParams(m=10, n=3, beta=1, K=4), audit=True)
-    for r in table.records:
-        assert not r.poch_tau.is_zero()
-        assert not r.poch_delta_num.is_zero()
-        assert not r.poch_delta_den.is_zero()
-        assert r.linearization != 0
-        assert r.jack_identity > 0
+def test_get_table_builds_no_expansions():
+    saved = dict(jack._EXPANSION_CACHE), dict(esym._ROW_CACHE)
+    jack.clear_caches()
+    esym._ROW_CACHE.clear()
+    try:
+        params = DistParams(m=9, n=4, beta=1, K=6)
+        dist_mod._TABLE_CACHE.pop(_spec_for(params), None)
+        assert quiet_table(params).coeffs
+        assert not jack._EXPANSION_CACHE
+        assert not esym._ROW_CACHE
+    finally:
+        jack._EXPANSION_CACHE.update(saved[0])
+        esym._ROW_CACHE.update(saved[1])
 
 
 # -- the general real-case formula -------------------------------------------------

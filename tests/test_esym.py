@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jackratio.esym import (EPolynomial, NotSymmetricError, appendix_moves,
-                            appendix_row, apply_operator, eigenvalue_closed_form,
-                            elementary_values, expand_e_term,
+from appendix_recurrences import appendix_moves, appendix_row
+from jackratio.esym import (EPolynomial, NotSymmetricError, apply_operator,
+                            eigenvalue_closed_form, elementary_values, expand_e_term,
                             laplace_beltrami_eigenvalue, laplace_beltrami_row)
 from jackratio.partitions import partitions_of, weight
 

@@ -167,6 +167,35 @@ def test_cache_rejects_unknown_version(tmp_path):
         load_expansion_cache(path)
 
 
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    "text",
+    {"version": 1},
+    {"version": 1, "entries": 5},
+    {"version": 1, "entries": [{"kappa": [1]}]},
+    {"version": 1, "entries": [{"kappa": [1], "beta": "x", "m": 1, "terms": {}}]},
+    {"version": 1, "entries": [{"kappa": [1, 2], "beta": "1", "m": 2, "terms": {}}]},
+], ids=["list", "string", "no-entries", "entries-not-a-list", "missing-keys",
+        "bad-beta", "bad-partition"])
+def test_cache_rejects_malformed_snapshot(tmp_path, payload):
+    import json
+    path = os.path.join(tmp_path, "bad.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    before = _snapshot()
+    with pytest.raises(ValueError):
+        load_expansion_cache(path)
+    assert _snapshot() == before
+
+
+def test_cache_save_leaves_no_temporary_files(tmp_path):
+    jack_expansion((2, 1), Fraction(1), 2)
+    path = os.path.join(tmp_path, "cache.json")
+    save_expansion_cache(path)
+    save_expansion_cache(path)
+    assert os.listdir(tmp_path) == ["cache.json"]
+
+
 def _snapshot():
     from jackratio.jack import _EXPANSION_CACHE
     return dict(_EXPANSION_CACHE)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jackratio.partitions import (conjugate, dominates_lex, length, lex_compare,
-                                  normalize, pad, partitions_of, upper_hook_product,
-                                  weight)
+                                  lower_hook_product, normalize, pad, partitions_of,
+                                  upper_hook_product, weight)
 
 
 def count_partitions(k: int, m: int) -> int:
@@ -104,3 +104,20 @@ def test_upper_hook_product_frozen():
 def test_upper_hook_positive_at_positive_alpha(p, a):
     val = upper_hook_product(p, Fraction(a))
     assert val > 0
+
+
+def test_lower_hook_product_frozen():
+    # (2,1) at alpha=2: product over cells of conj_j - i + 1 + alpha*(kappa_i - j)
+    assert lower_hook_product((2, 1), Fraction(2)) == 4
+    # at alpha=1 both hook products are the classical one
+    assert lower_hook_product((2, 1), Fraction(1)) == upper_hook_product((2, 1), 1) == 3
+    assert lower_hook_product((), Fraction(2)) == 1
+    with pytest.raises(ValueError):
+        lower_hook_product((1,), Fraction(0))
+
+
+@given(partitions(max_weight=8, max_parts=4),
+       st.builds(Fraction, st.integers(1, 7), st.integers(1, 7)))
+def test_lower_hook_is_upper_hook_of_conjugate(p, a):
+    # transposing swaps arms and legs: h_*^p(a) = a^|p| h^*_p'(1/a)
+    assert lower_hook_product(p, a) == a ** weight(p) * upper_hook_product(conjugate(p), 1 / a)

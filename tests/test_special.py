@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from jackratio.jack import jack_product
 from jackratio.partitions import partitions_of
 from jackratio.special import (SignedLogValue, gen_pochhammer,
-                               gen_pochhammer_exact, log_fraction,
-                               log_multivariate_gamma, pi_exponent,
+                               gen_pochhammer_exact, jack_at_identity,
+                               log_fraction, log_multivariate_gamma,
+                               pi_exponent, pieri_coefficients,
                                rising_factorial)
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
@@ -95,6 +97,17 @@ def test_gen_pochhammer_exact_zero_iff_tau1_large():
             assert (v == 0) == bool(tau and tau[0] > p)
 
 
+def test_gen_pochhammer_exact_matches_factor_by_factor_product():
+    for a in (Fraction(5, 2), Fraction(-3, 4), Fraction(7)):
+        for beta in (1, 2, 4, Fraction(2, 3)):
+            for tau in partitions_of(5, 3) + partitions_of(3, 3):
+                naive = Fraction(1)
+                for i, part in enumerate(tau):
+                    for j in range(part):
+                        naive *= a - Fraction(i) * Fraction(beta) / 2 + j
+                assert gen_pochhammer_exact(a, tau, beta) == naive
+
+
 def test_gen_pochhammer_log_matches_exact():
     for a in (Fraction(5, 2), Fraction(-3), Fraction(4)):
         for tau in ((2, 1), (3,), (1, 1, 1)):
@@ -114,3 +127,39 @@ def test_pi_exponent_values():
         pi_exponent("r", 3, 3)
     with pytest.raises(ValueError):
         pi_exponent("bogus", 1, 3)
+
+
+# -- Jack closed forms ---------------------------------------------------------
+
+def test_pieri_coefficients_frozen():
+    # p_1 C_(1) = p_1^2 = C_(2) + C_(1,1), and C_(1,1) vanishes in one variable
+    assert pieri_coefficients((1,), 1, 2) == {(2,): 1, (1, 1): 1}
+    assert pieri_coefficients((1,), 1, 1) == {(2,): 1}
+    assert pieri_coefficients((), 2, 3) == {(1,): 1}
+    with pytest.raises(ValueError):
+        pieri_coefficients((1, 1, 1), 1, 2)
+
+
+def test_pieri_coefficients_match_linearization():
+    for beta in (Fraction(1), Fraction(2), Fraction(4), Fraction(2, 3)):
+        for m in (1, 2, 3, 4):
+            for k in range(6):
+                for lam in partitions_of(k, m):
+                    assert pieri_coefficients(lam, beta, m) == \
+                        jack_product((1,), lam, beta, m).as_dict(), (beta, m, lam)
+
+
+def test_pieri_coefficients_sum_to_trace_power_identity():
+    # p_1 C_lam at the identity is m C_lam(I), so the targets' values add up
+    for beta in (Fraction(1), Fraction(4), Fraction(3, 7)):
+        for lam in partitions_of(6, 3):
+            total = sum(c * jack_at_identity(mu, beta, 3)
+                        for mu, c in pieri_coefficients(lam, beta, 3).items())
+            assert total == 3 * jack_at_identity(lam, beta, 3)
+
+
+def test_jack_at_identity_rejects_long_partitions():
+    with pytest.raises(ValueError):
+        jack_at_identity((1, 1, 1), 1, 2)
+    with pytest.raises(ValueError):
+        jack_at_identity((1,), 0, 2)
