@@ -154,35 +154,14 @@ def _cmd_lb_row(args) -> str:
     return _emit_map(data, args)
 
 
-def _cmd_dist_cdf(args) -> str:
+def _cmd_dist_query(args) -> str:
+    """dist cdf|pdf|quantile|moment: one row per input, one column per query."""
     params = _dist_params(args)
     table = get_table(params)
-    rows = [{"x": x, "cdf": table.cdf(x)} for x in args.x]
-    return _emit_envelope("dist cdf", _params_block(params), rows, args,
-                          _truncation_metadata(table))
-
-
-def _cmd_dist_pdf(args) -> str:
-    params = _dist_params(args)
-    table = get_table(params)
-    rows = [{"x": x, "pdf": table.pdf(x)} for x in args.x]
-    return _emit_envelope("dist pdf", _params_block(params), rows, args,
-                          _truncation_metadata(table))
-
-
-def _cmd_dist_quantile(args) -> str:
-    params = _dist_params(args)
-    table = get_table(params)
-    rows = [{"alpha": a, "quantile": table.quantile(a)} for a in args.alpha]
-    return _emit_envelope("dist quantile", _params_block(params), rows, args,
-                          _truncation_metadata(table))
-
-
-def _cmd_dist_moment(args) -> str:
-    params = _dist_params(args)
-    table = get_table(params)
-    rows = [{"h": h, "moment": table.moment(h)} for h in args.h]
-    return _emit_envelope("dist moment", _params_block(params), rows, args,
+    query = getattr(table, args.subcommand)
+    rows = [{args.query_input: v, args.subcommand: query(v)}
+            for v in getattr(args, args.query_input)]
+    return _emit_envelope(f"dist {args.subcommand}", _params_block(params), rows, args,
                           _truncation_metadata(table))
 
 
@@ -291,17 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     dist = sub.add_parser("dist", help="distribution of 1 - l_min/l_max")
     dsub = dist.add_subparsers(dest="subcommand", required=True)
-    for name, handler, extra in (
-            ("cdf", _cmd_dist_cdf, ("--x", _parse_float_list)),
-            ("pdf", _cmd_dist_pdf, ("--x", _parse_float_list)),
-            ("quantile", _cmd_dist_quantile, ("--alpha", _parse_float_list)),
-            ("moment", _cmd_dist_moment, ("--h", _parse_int_list))):
+    for name, arg, parser_fn in (
+            ("cdf", "x", _parse_float_list),
+            ("pdf", "x", _parse_float_list),
+            ("quantile", "alpha", _parse_float_list),
+            ("moment", "h", _parse_int_list)):
         p = dsub.add_parser(name)
         _add_dist_common(p)
-        flag, parser_fn = extra
-        p.add_argument(flag, type=parser_fn, required=True)
+        p.add_argument(f"--{arg}", type=parser_fn, required=True)
         _add_common(p)
-        p.set_defaults(handler=handler, default_format="json")
+        p.set_defaults(handler=_cmd_dist_query, query_input=arg, default_format="json")
 
     t1 = dsub.add_parser("table1", help="quantile table reproduction")
     t1.add_argument("--variant", choices=("a", "b"), required=True)

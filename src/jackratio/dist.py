@@ -18,8 +18,10 @@ and scaled by a single signed-log constant at the very end.  This matters:
 for large m the tau sum is an alternating binomial-type sum whose terms
 exceed the result by 20+ orders of magnitude, far beyond what double
 precision accumulation could survive.  Evaluations use a fast float path
-with a running error bound, falling back to exact arithmetic whenever the
-bound is not clearly below the target accuracy.
+and fall back to exact arithmetic at every point it cannot accept.  The
+float path's error estimate is 1e-13 * sum_j |c_j| x^(rho+j), and a value
+is accepted when that estimate is <= max(1e-12, 1e-9 |value|).  That
+estimate is a rule of thumb, not a derived rounding bound (see `_horner`).
 
 The truncation orders: the outer series is cut at K, the inner one at
 t_max.  When p = beta*(m - n + 1)/2 - 1 is a nonnegative integer the inner
@@ -169,6 +171,26 @@ def leading_constant(params: DistParams) -> SignedLogValue:
     return _constant(params.m, params.n, params.beta)
 
 
+def _horner(coeffs: Sequence[float], x, power: int):
+    """x^power * sum_j coeffs[j] x^j in floats, and whether that value is accepted.
+
+    x is a float or a numpy array; the arithmetic is the same for both.  The
+    error estimate is 1e-13 * sum_j |coeffs[j]| x^(power+j), and the value is
+    accepted when the estimate is <= max(1e-12, 1e-9 |value|).  The factor
+    1e-13 is not derived from a rounding analysis: it ignores the length of
+    the sum and the rounding of the coefficients themselves.
+    """
+    s = 0.0
+    a = 0.0
+    for c in reversed(coeffs):
+        s = s * x + c
+        a = a * x + abs(c)
+    xp = x ** power
+    value = s * xp
+    err = a * 1e-13 * xp
+    return value, (err <= 1e-12) | (err <= 1e-9 * abs(value))
+
+
 class SeriesTable:
     """Exact coefficients of one truncated series plus its scaling constant.
 
@@ -186,7 +208,14 @@ class SeriesTable:
         self._collapsed: Optional[List[Fraction]] = None
         self._float_coeffs = None
         self._warned = False
-        self.diagnostics = self._diagnose()
+        self._moments: Dict[int, Tuple[float, float]] = {}
+        mass, rel_last = self._moment_with_monitor(0)
+        self.diagnostics = {
+            "K": float(spec.K),
+            "t_max": float(spec.t_max),
+            "last_increment_rel": rel_last if spec.K else float("inf"),
+            "mass": mass,
+        }
 
     # -- assembly -----------------------------------------------------------
 
@@ -222,27 +251,6 @@ class SeriesTable:
                     self.coeffs[(k, t)] = cell * (scalar_k / factorial(t))
 
     # -- diagnostics ---------------------------------------------------------
-
-    def _diagnose(self) -> Dict[str, float]:
-        s = self.spec
-        increments = [Fraction(0)] * (s.K + 1)
-        for (k, t), c in self.coeffs.items():
-            increments[k] += c
-        mass_sum = sum(increments, Fraction(0))
-        if mass_sum == 0 or s.K == 0:
-            rel_last = float("inf")
-        else:
-            last = log_fraction(increments[s.K])
-            total = log_fraction(mass_sum)
-            rel_last = (0.0 if last.is_zero()
-                        else math.exp(last.log_abs - total.log_abs))
-        mass = (log_fraction(mass_sum) * self.const).to_float() if mass_sum else 0.0
-        return {
-            "K": float(s.K),
-            "t_max": float(s.t_max),
-            "last_increment_rel": rel_last,
-            "mass": mass,
-        }
 
     @property
     def converged(self) -> bool:
@@ -281,15 +289,6 @@ class SeriesTable:
             self._float_coeffs = vals if ok else False
         return None if self._float_coeffs is False else self._float_coeffs
 
-    def _eval_poly_float(self, coeffs: Sequence[float], x: float) -> Tuple[float, float]:
-        """Horner value and a crude bound on its roundoff error."""
-        s = 0.0
-        a = 0.0
-        for c in reversed(coeffs):
-            s = s * x + c
-            a = a * x + abs(c)
-        return s, a * 1e-13
-
     def _eval_exact(self, x: Fraction, derivative: bool) -> float:
         coeffs = self.collapsed()
         acc = Fraction(0)
@@ -313,10 +312,8 @@ class SeriesTable:
             else:
                 coeffs = floats
                 power = self.rho
-            s, err = self._eval_poly_float(coeffs, x)
-            xp = x ** power
-            value, err = s * xp, err * xp
-            if err <= max(1e-12, 1e-9 * abs(value)):
+            value, ok = _horner(coeffs, x, power)
+            if ok:
                 return value
         return self._eval_exact(Fraction(x), derivative)
 
@@ -338,22 +335,15 @@ class SeriesTable:
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             return xs.copy()
-        if np.any((xs < 0) | (xs > 1)):
+        if not np.all((xs >= 0) & (xs <= 1)):
             raise ValueError("x must lie in [0, 1]")
         self._warn_if_unconverged()
         floats = self._floats()
         if floats is None:
-            return np.array([self._eval_exact(Fraction(float(x)), False) for x in xs])
-        s = np.zeros_like(xs)
-        a = np.zeros_like(xs)
-        for c in reversed(floats):
-            s = s * xs + c
-            a = a * xs + abs(c)
-        xp = xs ** self.rho
-        value = s * xp
-        err = a * xp * 1e-13
-        bad = err > np.maximum(1e-12, 1e-9 * np.abs(value))
-        for i in np.nonzero(bad)[0]:
+            value, ok = np.zeros_like(xs), np.zeros(xs.shape, dtype=bool)
+        else:
+            value, ok = _horner(floats, xs, self.rho)
+        for i in np.nonzero(~ok)[0]:
             value[i] = self._eval_exact(Fraction(float(xs[i])), False)
         return value
 
@@ -362,25 +352,28 @@ class SeriesTable:
         return self.moment(0)
 
     def moment(self, h: int) -> float:
-        value, rel_last = self._moment_with_monitor(h)
-        if rel_last >= MONITOR_TOLERANCE and not self._warned:
-            self._warn_if_unconverged()
+        value = self._moment_with_monitor(h)[0]
+        self._warn_if_unconverged()
         return value
 
     def _moment_with_monitor(self, h: int) -> Tuple[float, float]:
+        """E[X^h] and its last K increment relative to the total, once per h."""
         if h < 0:
             raise ValueError("moment order must be nonnegative")
-        increments = [Fraction(0)] * (self.spec.K + 1)
-        for (k, t), c in self.coeffs.items():
-            e = self.rho + k + t
-            increments[k] += c * Fraction(e, e + h)
-        total = sum(increments, Fraction(0))
-        if total == 0:
-            return 0.0, float("inf")
-        last = log_fraction(increments[self.spec.K])
-        rel_last = (0.0 if last.is_zero()
-                    else math.exp(last.log_abs - log_fraction(total).log_abs))
-        return (log_fraction(total) * self.const).to_float(), rel_last
+        if h not in self._moments:
+            increments = [Fraction(0)] * (self.spec.K + 1)
+            for (k, t), c in self.coeffs.items():
+                e = self.rho + k + t
+                increments[k] += c * Fraction(e, e + h)
+            total = sum(increments, Fraction(0))
+            if total == 0:
+                self._moments[h] = 0.0, float("inf")
+            else:
+                last = log_fraction(increments[self.spec.K])
+                rel_last = (0.0 if last.is_zero()
+                            else math.exp(last.log_abs - log_fraction(total).log_abs))
+                self._moments[h] = (log_fraction(total) * self.const).to_float(), rel_last
+        return self._moments[h]
 
     def quantile(self, alpha: float, tol: float = 1e-8) -> float:
         if not (0 < alpha < 1):

@@ -30,12 +30,11 @@ from .esym import EPolynomial, e_monomial_product, laplace_beltrami_row
 from .partitions import (
     Partition,
     normalize,
-    pad,
     partitions_of,
     upper_hook_product,
     weight,
 )
-from .special import jack_at_identity  # noqa: F401  (public name, defined in special)
+from .special import jack_at_identity, pieri_coefficients
 
 
 class DegenerateBetaError(ValueError):
@@ -160,17 +159,23 @@ def jack_product_with_trace_power(k: int, tau: Partition, beta, m: int) -> Dict[
 
     Since the weight-k Jack polynomials sum to the k-th power of e_1, the
     coefficient of C_delta here equals the sum over all kappa of weight k of
-    the coefficient of C_delta in C_kappa * C_tau.
+    the coefficient of C_delta in C_kappa * C_tau.  It is computed by k
+    applications of the Pieri rule (`special.pieri_coefficients`).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     beta = _as_beta(beta)
-    base = jack_expansion(tau, beta, m)
-    shifted: Dict[Partition, Fraction] = {}
-    for mu, c in base.terms.items():
-        padded = pad(mu, m)
-        shifted[normalize((padded[0] + k,) + padded[1:])] = c
-    return e_to_jack(EPolynomial(shifted, m), beta).as_dict()
+    tau = normalize(tau)
+    if len(tau) > m:
+        raise ValueError(f"C_{tau} vanishes in {m} variables")
+    out: Dict[Partition, Fraction] = {tau: Fraction(1)}
+    for _ in range(k):
+        step: Dict[Partition, Fraction] = {}
+        for lam, c in out.items():
+            for mu, g in pieri_coefficients(lam, beta, m).items():
+                step[mu] = step.get(mu, Fraction(0)) + c * g
+        out = step
+    return out
 
 
 def jack_evaluate(kappa: Partition, beta, xs) -> float:
@@ -214,7 +219,10 @@ def load_expansion_cache(path: str) -> int:
 
     A snapshot that is not valid JSON, has another format version or holds
     a malformed entry raises ValueError, and nothing from it is merged, so
-    callers can drop it and rebuild instead of working from bad data.
+    callers can drop it and rebuild instead of working from bad data.  An
+    entry is malformed also when its E_kappa coefficient differs from
+    `leading_elementary_coeff` or its value at (1, ..., 1) differs from
+    `jack_at_identity`.
     """
     try:
         with open(path) as fh:
@@ -237,6 +245,11 @@ def load_expansion_cache(path: str) -> int:
             loaded[(kappa, beta, m)] = EPolynomial(terms, m)
     except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed cache entry: {exc!r}") from exc
+    for (kappa, beta, m), poly in loaded.items():
+        if (poly.terms.get(kappa) != leading_elementary_coeff(kappa, beta)
+                or poly.evaluate([Fraction(1)] * m) != jack_at_identity(kappa, beta, m)):
+            raise ValueError(f"cache entry C_{kappa} (beta={beta}, m={m}) fails the "
+                             "leading-coefficient or identity-value check")
     _EXPANSION_CACHE.update(loaded)
     return len(loaded)
 

@@ -257,6 +257,19 @@ def test_cache_dir_list_payload_is_reported(capsys, tmp_path, monkeypatch):
     assert json.loads(cache.read_text())["version"] == 1
 
 
+def test_cache_dir_wrong_entry_is_rejected(capsys, tmp_path, monkeypatch):
+    # well-formed but wrong: C_(1) = 5 E_(1) instead of E_(1)
+    monkeypatch.setenv("JACKRATIO_CACHE_DIR", str(tmp_path))
+    cache = tmp_path / "jack_cache.json"
+    cache.write_text(json.dumps({"version": 1, "entries": [
+        {"kappa": [1], "beta": "1", "m": 2, "terms": {"1": "5"}}]}))
+    code, out, err = run(capsys, "jack", "product", "--left", "1", "--right", "1",
+                         "--m", "2")
+    assert code == 0
+    assert "ignoring unusable cache" in err
+    assert json.loads(out) == {"2": "1", "1,1": "1"}
+
+
 def test_dist_commands_leave_cache_dir_alone(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("JACKRATIO_CACHE_DIR", str(tmp_path))
     cache = tmp_path / "jack_cache.json"

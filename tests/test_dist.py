@@ -120,6 +120,12 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         table.cdf(1.5)
     with pytest.raises(ValueError):
+        table.cdf(float("nan"))
+    with pytest.raises(ValueError):
+        table.cdf_many([0.5, float("nan")])
+    with pytest.raises(ValueError):
+        table.cdf_many([0.5, 1.5])
+    with pytest.raises(ValueError):
         table.pdf(0.0)
     with pytest.raises(ValueError):
         table.moment(-1)
@@ -150,6 +156,28 @@ def test_exact_and_float_paths_agree():
         assert fast == pytest.approx(slow, rel=1e-11, abs=1e-13)
 
 
+@pytest.mark.parametrize("params, exact_share", [
+    (DistParams(m=10, n=3, beta=1, K=25), (0.0, 0.1)),  # nearly all on the float path
+    (DistParams(m=10, n=3, beta=2, K=20), (0.3, 0.6)),  # many fall back to exact
+])
+def test_cdf_many_matches_pointwise_cdf(monkeypatch, params, exact_share):
+    table = quiet_table(params)
+    calls = []
+    exact = table._eval_exact
+    monkeypatch.setattr(table, "_eval_exact",
+                        lambda x, derivative: calls.append(x) or exact(x, derivative))
+    xs = np.random.default_rng(7).uniform(0, 1, 200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        many = table.cdf_many(xs)
+        fallbacks = len(calls)
+        single = [table.cdf(float(x)) for x in xs]
+    assert exact_share[0] <= fallbacks / len(xs) <= exact_share[1]
+    for a, b in zip(many, single):
+        assert abs(a - b) <= max(1e-12, 1e-9 * abs(b))
+    assert table.mass() == table.moment(0) == table.diagnostics["mass"]
+
+
 def test_float_fallback_under_cancellation():
     # large m: the alternating coefficients overwhelm double precision near 1,
     # forcing the exact-rational evaluation path; results must stay sane
@@ -174,6 +202,14 @@ def test_truncation_warning_fires_once_when_unconverged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cdf_truncated(DistParams(m=10, n=3, beta=1, K=25), 0.6)  # no second warning
+
+    dist_mod._TABLE_CACHE.pop(key, None)
+    with pytest.warns(TruncationWarning) as record:
+        moment(DistParams(m=10, n=3, beta=1, K=25), 2)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moment(DistParams(m=10, n=3, beta=1, K=25), 2)
 
 
 def test_no_warning_when_converged():

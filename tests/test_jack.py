@@ -175,8 +175,10 @@ def test_cache_rejects_unknown_version(tmp_path):
     {"version": 1, "entries": [{"kappa": [1]}]},
     {"version": 1, "entries": [{"kappa": [1], "beta": "x", "m": 1, "terms": {}}]},
     {"version": 1, "entries": [{"kappa": [1, 2], "beta": "1", "m": 2, "terms": {}}]},
+    {"version": 1, "entries": [{"kappa": [1], "beta": "1", "m": 2, "terms": {"1": "5"}}]},
+    {"version": 1, "entries": [{"kappa": [1], "beta": "1", "m": 2, "terms": {}}]},
 ], ids=["list", "string", "no-entries", "entries-not-a-list", "missing-keys",
-        "bad-beta", "bad-partition"])
+        "bad-beta", "bad-partition", "wrong-leading-coeff", "empty-terms"])
 def test_cache_rejects_malformed_snapshot(tmp_path, payload):
     import json
     path = os.path.join(tmp_path, "bad.json")
