@@ -47,11 +47,16 @@ class SignedLogValue:
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "SignedLogValue":
         fr = Fraction(fr)
-        if fr == 0:
+        return cls.from_ratio(fr.numerator, fr.denominator)
+
+    @classmethod
+    def from_ratio(cls, num: int, den: int) -> "SignedLogValue":
+        """num/den for integers in lowest terms with den > 0, as from_fraction
+        would give it, without the gcd that building the Fraction costs."""
+        if num == 0:
             return cls.zero()
-        sign = 1 if fr > 0 else -1
         # big integers exceed float range, so take logs of the integer parts
-        return cls(sign, _log_int(abs(fr.numerator)) - _log_int(fr.denominator))
+        return cls(1 if num > 0 else -1, _log_int(abs(num)) - _log_int(den))
 
     @classmethod
     def exp(cls, log_value: float, sign: int = 1) -> "SignedLogValue":

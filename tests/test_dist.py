@@ -15,7 +15,7 @@ from jackratio.dist import (DistParams, SeriesTable, TruncationError,
                             quantile, summary_stats, _spec_for)
 from jackratio.jack import jack_expansion, jack_product
 from jackratio.partitions import partitions_of
-from jackratio.special import gen_pochhammer_exact, rising_factorial
+from jackratio.special import gen_pochhammer_exact, log_fraction, rising_factorial
 
 
 def quiet_table(params):
@@ -176,6 +176,37 @@ def test_cdf_many_matches_pointwise_cdf(monkeypatch, params, exact_share):
     for a, b in zip(many, single):
         assert abs(a - b) <= max(1e-12, 1e-9 * abs(b))
     assert table.mass() == table.moment(0) == table.diagnostics["mass"]
+
+
+def test_cdf_many_keeps_the_input_shape(monkeypatch):
+    table = quiet_table(DistParams(m=10, n=3, beta=2, K=20))
+    calls = []
+    exact = table._eval_exact
+    monkeypatch.setattr(table, "_eval_exact",
+                        lambda x, derivative: calls.append(x) or exact(x, derivative))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        scalar = table.cdf_many(0.5)
+        grid = [[0.5, 0.99], [0.3, 0.2]]
+        many = table.cdf_many(grid)
+        assert Fraction(0.99) in calls  # one point of the grid falls back to exact
+        single = [[table.cdf(x) for x in row] for row in grid]
+    assert scalar.shape == () and many.shape == (2, 2)
+    got = [float(scalar)] + many.ravel().tolist()
+    want = [single[0][0]] + [v for row in single for v in row]  # cdf(0.5) first
+    for v, b in zip(got, want):
+        assert abs(v - b) <= max(1e-12, 1e-9 * abs(b))
+
+
+def test_quantile_evaluates_each_point_once(monkeypatch):
+    table = quiet_table(DistParams(m=10, n=3, beta=2, K=20))
+    seen = []
+    evaluate = table._evaluate
+    monkeypatch.setattr(table, "_evaluate",
+                        lambda x, derivative: seen.append(x) or evaluate(x, derivative))
+    q = table.quantile(0.5)
+    assert seen[-1] == q
+    assert len(seen) == len(set(seen))
 
 
 def test_float_fallback_under_cancellation():
@@ -343,3 +374,60 @@ def test_general_formula_requires_t_max_when_nonterminating():
         get_general_table(2, 2, 10)
     # integer shape parameter: terminates without help
     get_general_table(3, 4, 6)
+
+
+# -- the exact passes over integers against Fraction oracles ---------------------
+
+def fraction_horner(table, x, derivative):
+    """x^power * sum_j c_j x^j by Horner over Fractions, with c_j = collapsed()[j]
+    and, for the density, c_j * (rho + j) and power rho - 1."""
+    coeffs = table.collapsed()
+    acc = Fraction(0)
+    for j in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[j]
+        if derivative:
+            c *= table.rho + j
+        acc = acc * x + c
+    return acc * x ** (table.rho - 1 if derivative else table.rho)
+
+
+def fraction_moment(table, h):
+    """E[X^h] and its relative last increment from per-k Fraction sums."""
+    increments = [Fraction(0)] * (table.spec.K + 1)
+    for (k, t), c in table.coeffs.items():
+        e = table.rho + k + t
+        increments[k] += c * Fraction(e, e + h)
+    total = sum(increments, Fraction(0))
+    if total == 0:
+        return 0.0, float("inf")
+    last = log_fraction(increments[-1])
+    rel_last = 0.0 if last.is_zero() else math.exp(last.log_abs - log_fraction(total).log_abs)
+    return (log_fraction(total) * table.const).to_float(), rel_last
+
+
+EXACT_TABLES = [DistParams(m=105, n=2, beta=1, K=100), DistParams(m=10, n=3, beta=2, K=20)]
+
+
+@pytest.mark.parametrize("params", EXACT_TABLES)
+def test_integer_horner_matches_fraction_horner(params):
+    table = quiet_table(params)
+    rng = np.random.default_rng(11)
+    points = ([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(0.5), Fraction(0.97),
+               Fraction(2.0 ** -40)] + [Fraction(float(x)) for x in rng.uniform(0, 1, 20)])
+    for derivative in (False, True):
+        power, _, nums = table._polynomial(derivative)
+        for x in points:
+            want = fraction_horner(table, x, derivative)
+            num, den = dist_mod._exact_ratio(nums, table._denominator, x, power)
+            assert (num, den) == (want.numerator, want.denominator), (x, derivative)
+            assert table._eval_exact(x, derivative) == (log_fraction(want) * table.const).to_float()
+
+
+@pytest.mark.parametrize("params", EXACT_TABLES)
+def test_integer_moment_sums_match_fraction_sums(params):
+    table = quiet_table(params)
+    for h in range(5):
+        assert table._moment_with_monitor(h) == fraction_moment(table, h), h
+    mass, rel_last = fraction_moment(table, 0)
+    assert table.diagnostics["mass"] == mass
+    assert table.diagnostics["last_increment_rel"] == rel_last
