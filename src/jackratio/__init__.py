@@ -13,11 +13,9 @@ from .partitions import (
 from .esym import (
     EPolynomial,
     LBRow,
-    NotSymmetricError,
     apply_operator,
     eigenvalue_closed_form,
     elementary_values,
-    laplace_beltrami_eigenvalue,
     laplace_beltrami_row,
 )
 from .jack import (
@@ -26,7 +24,6 @@ from .jack import (
     clear_caches,
     e_to_jack,
     jack_at_identity,
-    jack_evaluate,
     jack_expansion,
     jack_product,
     jack_product_with_trace_power,

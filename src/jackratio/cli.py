@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from . import __version__
 from .dist import (DistParams, TruncationError, auto_converged_params,
                    get_table)
-from .esym import NotSymmetricError, laplace_beltrami_row
+from .esym import laplace_beltrami_row
 from .jack import (DegenerateBetaError, jack_expansion, jack_product,
                    load_expansion_cache, save_expansion_cache)
 from .mc import McConfig, empirical_moments, empirical_quantile, sample_extreme_ratio
@@ -331,14 +331,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         text = args.handler(args)
-    except (ValueError, NotSymmetricError, DegenerateBetaError,
-            TruncationError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, DegenerateBetaError, TruncationError,
+            ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_expansion_cache(cache_path)
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+            save_expansion_cache(cache_path)
+        except OSError as exc:
+            print(f"could not save cache {cache_path}: {exc}", file=sys.stderr)
 
     if args.output:
         with open(args.output, "w") as fh:

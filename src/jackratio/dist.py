@@ -45,6 +45,7 @@ t_max defaults to p*(n-1); otherwise t_max must be supplied.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -416,8 +417,8 @@ class SeriesTable:
 
     def _moment_with_monitor(self, h: int) -> Tuple[float, float]:
         """E[X^h] and its last K increment relative to the total, once per h."""
-        if h < 0:
-            raise ValueError("moment order must be nonnegative")
+        if not isinstance(h, numbers.Integral) or h < 0:
+            raise ValueError("moment order must be a nonnegative integer")
         if h not in self._moments:
             # c[k,t] e/(e+h) = (c[k,t] D) w[k+t] / (D L), with e = rho+k+t and
             # L the lcm of the reduced denominators of e/(e+h): the sums are ints
@@ -564,6 +565,8 @@ def auto_converged_params(m: int, n: int, beta: int = 1, start_K: Optional[int] 
     With moments > 0 the monitor must also pass for each moment order up to
     that bound (the h-weighted tails decay slightly slower than the mass).
     """
+    if start_K is not None and start_K < 1:
+        raise ValueError("start_K must be at least 1")
     K = start_K if start_K is not None else DistParams(m=m, n=n, beta=beta).resolved_K
     while True:
         params = DistParams(m=m, n=n, beta=beta, K=K)

@@ -8,10 +8,22 @@ in m variables.  The operator
     sum_i x_i^2 d^2/dx_i^2  +  beta * sum_{i != j} x_i^2/(x_i - x_j) d/dx_i
 
 maps symmetric polynomials to symmetric polynomials of the same degree and
-is triangular on the E basis with respect to descending lex order.  Rows of
-its matrix are computed symbolically here, via an intermediate expansion in
-the monomial basis; the pairwise divided-difference form of the second sum
-keeps every intermediate a polynomial.
+is triangular on the E basis with respect to descending lex order.  Its rows
+are computed on the E basis directly, from two facts about the e_r:
+
+* the first-order part is a derivation that maps e_r to
+  beta * (r*(m - r) + r*(r - 1)/2) * e_r;
+* the second-order part annihilates every e_r and acts on a product as
+  D2(f g) = f D2(g) + g D2(f) + 2 Gamma(f, g), where for r <= s
+
+      Gamma(e_r, e_s) = sum_i x_i^2 de_r/dx_i de_s/dx_i
+                      = r e_r e_s - sum_{k>=1} (s - r + 2k) e_(r-k) e_(s+k)
+
+  with e_0 = 1 and e_j = 0 for j > m.
+
+On E_nu = prod_r e_r^(v_r) the terms proportional to E_nu add up to
+`eigenvalue_closed_form`; every other term is an integer multiple of
+E_nu * e_(r-k) e_(s+k) / (e_r e_s), independent of beta.
 
 Caches are plain dicts; CPython's GIL makes the insertions atomic, and a
 duplicated concurrent computation just rewrites the same value.
@@ -24,18 +36,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .partitions import Partition, normalize, pad, partitions_of, weight
+from .partitions import Partition, normalize, pad, weight
 
 Monomial = Tuple[int, ...]
 MonoPoly = Dict[Monomial, Fraction]
 
 
-class NotSymmetricError(RuntimeError):
-    """Internal consistency failure: an intermediate polynomial was not symmetric."""
-
-
 # ---------------------------------------------------------------------------
-# monomial-basis helpers (private)
+# the monomial basis (the operator rows do not use it; the tests check the
+# rows against an operator applied in this basis)
 # ---------------------------------------------------------------------------
 
 def _mono_mul(p: MonoPoly, q: MonoPoly) -> MonoPoly:
@@ -78,97 +87,6 @@ def expand_e_term(lam: Partition, m: int) -> Tuple[Tuple[Monomial, Fraction], ..
     base = dict(expand_e_term(column_removed, m))
     out = _mono_mul(base, _elementary_monomials(m)[r])
     return tuple(sorted(out.items()))
-
-
-def _divide_by_linear_difference(g: MonoPoly, i: int, j: int, m: int) -> MonoPoly:
-    """Exact quotient g / (x_i - x_j); raises if the division is not exact."""
-    unit_j = (0,) * j + (1,) + (0,) * (m - j - 1)
-    buckets: Dict[int, MonoPoly] = {}
-    for mono, c in g.items():
-        d = mono[i]
-        stripped = mono[:i] + (0,) + mono[i + 1:]
-        buckets.setdefault(d, {})[stripped] = c
-    if not buckets:
-        return {}
-    top = max(buckets)
-    quotient: MonoPoly = {}
-    carry: MonoPoly = {}  # q_d while descending
-    for d in range(top - 1, -1, -1):
-        layer = dict(buckets.get(d + 1, {}))
-        for mono, c in carry.items():
-            key = tuple(x + y for x, y in zip(mono, unit_j))
-            val = layer.get(key, 0) + c
-            if val:
-                layer[key] = val
-            elif key in layer:
-                del layer[key]
-        carry = layer
-        for mono, c in layer.items():
-            quotient[mono[:i] + (d,) + mono[i + 1:]] = c
-    # remainder: g_0 + x_j * q_0 must vanish
-    rem = dict(buckets.get(0, {}))
-    for mono, c in carry.items():
-        key = tuple(x + y for x, y in zip(mono, unit_j))
-        val = rem.get(key, 0) + c
-        if val:
-            rem[key] = val
-        elif key in rem:
-            del rem[key]
-    if rem:
-        raise NotSymmetricError("divided difference left a remainder")
-    return quotient
-
-
-def _apply_operator_monomials(poly: MonoPoly, beta: Fraction, m: int) -> MonoPoly:
-    out: MonoPoly = {}
-    for mono, c in poly.items():
-        s = sum(a * (a - 1) for a in mono)
-        if s:
-            out[mono] = out.get(mono, 0) + c * s
-    for i in range(m):
-        for j in range(i + 1, m):
-            numer: MonoPoly = {}
-            for mono, c in poly.items():
-                if mono[i]:
-                    key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                    numer[key] = numer.get(key, 0) + c * mono[i]
-                if mono[j]:
-                    key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                    numer[key] = numer.get(key, 0) - c * mono[j]
-            numer = {k: v for k, v in numer.items() if v}
-            for mono, c in _divide_by_linear_difference(numer, i, j, m).items():
-                val = out.get(mono, 0) + beta * c
-                if val:
-                    out[mono] = val
-                elif mono in out:
-                    del out[mono]
-    return out
-
-
-def _to_e_basis(poly: MonoPoly, m: int) -> Dict[Partition, Fraction]:
-    """Rewrite a symmetric monomial-basis polynomial in the E basis.
-
-    Repeatedly eliminates the lex-leading monomial x^lam, which for a
-    symmetric polynomial always has a weakly decreasing exponent vector,
-    using the fact that x^lam is the leading monomial of E_lam with
-    coefficient 1.
-    """
-    work = {k: Fraction(v) for k, v in poly.items() if v}
-    out: Dict[Partition, Fraction] = {}
-    while work:
-        lead = max(work)
-        if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
-            raise NotSymmetricError(f"leading exponent {lead} is not dominant")
-        lam = normalize(lead)
-        c = work[lead]
-        out[lam] = c
-        for mono, ec in expand_e_term(lam, m):
-            val = work.get(mono, 0) - c * ec
-            if val:
-                work[mono] = val
-            elif mono in work:
-                del work[mono]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +244,41 @@ def laplace_beltrami_row(nu: Partition, beta, m: int) -> LBRow:
     key = (nu, beta, m)
     row = _ROW_CACHE.get(key)
     if row is None:
-        poly = dict(expand_e_term(nu, m))
-        image = _apply_operator_monomials(poly, beta, m)
-        entries = _to_e_basis(image, m)
+        entries = {mu: Fraction(c) for mu, c in _off_diagonal(nu, m).items() if c}
+        diagonal = eigenvalue_closed_form(nu, beta, m)
+        if diagonal:
+            entries[nu] = diagonal
         row = LBRow(nu, beta, m, tuple(sorted(entries.items(), reverse=True)))
         _ROW_CACHE[key] = row
     return row
+
+
+def _off_diagonal(nu: Partition, m: int) -> Dict[Partition, int]:
+    """Off-diagonal entries of the row of E_nu, from the Gamma identity.
+
+    With v_r = nu_r - nu_(r+1), each pair r <= s carries the weight
+    v_r*(v_r - 1) when r = s and 2*v_r*v_s when r < s.  For
+    1 <= k <= min(r, m - s) it adds -weight*(s - r + 2k) at
+    E_nu * e_(r-k) e_(s+k) / (e_r e_s): parts r-k+1..r of nu lose a box and
+    parts s+1..s+k gain one.
+    """
+    parts = pad(nu, m)
+    v = (None,) + tuple(a - b for a, b in zip(parts, parts[1:] + (0,)))
+    out: Dict[Partition, int] = {}
+    for r in range(1, m + 1):
+        for s in range(r, m + 1):
+            w = v[r] * (v[r] - 1) if r == s else 2 * v[r] * v[s]
+            if not w:
+                continue
+            for k in range(1, min(r, m - s) + 1):
+                target = list(parts)
+                for i in range(r - k, r):
+                    target[i] -= 1
+                for i in range(s, s + k):
+                    target[i] += 1
+                key = normalize(target)
+                out[key] = out.get(key, 0) - w * (s - r + 2 * k)
+    return out
 
 
 def apply_operator(f: EPolynomial, beta) -> EPolynomial:
@@ -345,19 +292,8 @@ def apply_operator(f: EPolynomial, beta) -> EPolynomial:
     return EPolynomial(out, f.m)
 
 
-def laplace_beltrami_eigenvalue(kappa: Partition, beta, m: int) -> Fraction:
-    """Diagonal entry of the operator row for kappa (an exact rational)."""
-    kappa = normalize(kappa)
-    if weight(kappa) == 0:
-        return Fraction(0)
-    return laplace_beltrami_row(kappa, beta, m).as_dict().get(kappa, Fraction(0))
-
-
 def eigenvalue_closed_form(kappa: Partition, beta, m: int) -> Fraction:
-    """Fast closed form of the diagonal: sum_i k_i*(k_i - 1 + beta*(m - i)).
-
-    Asserted equal to the operator-derived diagonal in the test suite.
-    """
+    """Diagonal entry of the operator row for kappa: sum_i k_i*(k_i - 1 + beta*(m - i))."""
     beta = Fraction(beta)
     return sum((Fraction(p) * (p - 1 + beta * (m - i)) for i, p in enumerate(normalize(kappa), start=1)),
                Fraction(0))

@@ -178,12 +178,6 @@ def jack_product_with_trace_power(k: int, tau: Partition, beta, m: int) -> Dict[
     return out
 
 
-def jack_evaluate(kappa: Partition, beta, xs) -> float:
-    """Numeric value of C_kappa at a point."""
-    m = len(list(xs))
-    return jack_expansion(kappa, beta, m).evaluate(xs)
-
-
 # ---------------------------------------------------------------------------
 # persistent cache snapshots
 # ---------------------------------------------------------------------------

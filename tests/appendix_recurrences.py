@@ -1,4 +1,4 @@
-"""Hand-derived low-variable recurrences for the operator rows (beta = 1).
+"""Hand-derived low-variable recurrences for the operator rows.
 
 For 2, 3 and 4 variables the off-diagonal action of the operator in
 `jackratio.esym` has short closed forms.  They are kept here as an
@@ -63,7 +63,7 @@ def appendix_moves(mu: Partition, m: int) -> Dict[Partition, int]:
 def appendix_row(mu: Partition, beta, m: int) -> Dict[Partition, Fraction]:
     """Off-diagonal operator entries b[target, mu] implied by appendix_moves.
 
-    Matches the symbolic rows at beta = 1 only; the test suite pins that down.
+    The signature mirrors `laplace_beltrami_row`, but the off-diagonal
+    entries do not depend on beta: each is -2 times the appendix coefficient.
     """
-    beta = Fraction(beta)
-    return {target: Fraction(-2, 1) / beta * c for target, c in appendix_moves(mu, m).items()}
+    return {target: Fraction(-2 * c) for target, c in appendix_moves(mu, m).items()}

@@ -120,19 +120,21 @@ def test_eigenfunction_identity_grid():
 
 def test_low_variable_recurrence_equivalence():
     # the hand recurrences index by source partition; transposing the
-    # operator's off-diagonal action must reproduce them entry for entry
-    for m in (2, 3, 4):
-        for k in range(1, 7):
-            parts = partitions_of(k, m)
-            incoming = {mu: {} for mu in parts}
-            for lam in parts:
-                for mu, c in laplace_beltrami_row(lam, 1, m).as_dict().items():
-                    if mu != lam:
-                        incoming[mu][lam] = c
-            for mu in parts:
-                app = {lam: c for lam, c in appendix_row(mu, 1, m).items() if c}
-                assert app == incoming[mu], (m, mu)
-    record("1", "low-variable recurrence equivalence (m=2,3,4; k<=6)", True)
+    # operator's off-diagonal action must reproduce them entry for entry,
+    # at every beta since the off-diagonal entries do not depend on it
+    for beta in (Fraction(1), Fraction(2), Fraction(1, 2)):
+        for m in (2, 3, 4):
+            for k in range(1, 7):
+                parts = partitions_of(k, m)
+                incoming = {mu: {} for mu in parts}
+                for lam in parts:
+                    for mu, c in laplace_beltrami_row(lam, beta, m).as_dict().items():
+                        if mu != lam:
+                            incoming[mu][lam] = c
+                for mu in parts:
+                    app = {lam: c for lam, c in appendix_row(mu, beta, m).items() if c}
+                    assert app == incoming[mu], (beta, m, mu)
+    record("1", "low-variable recurrence equivalence (m=2,3,4; k<=6; beta=1,2,1/2)", True)
 
 
 # -- criterion 2: quantile table, real case -------------------------------------

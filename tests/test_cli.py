@@ -270,6 +270,24 @@ def test_cache_dir_wrong_entry_is_rejected(capsys, tmp_path, monkeypatch):
     assert json.loads(out) == {"2": "1", "1,1": "1"}
 
 
+def test_unwritable_cache_dir_is_reported(capsys, tmp_path, monkeypatch):
+    # a regular file where the cache directory should be: the answer is
+    # still printed, and the failed save is reported on stderr
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    monkeypatch.setenv("JACKRATIO_CACHE_DIR", str(blocker))
+    code, out, err = run(capsys, "jack", "expand", "--kappa", "2,1", "--m", "2")
+    assert code == 0
+    assert json.loads(out) == {"2,1": "12/5"}
+    assert "could not save cache" in err
+    code, out, err = run(capsys, "jack", "product", "--left", "1", "--right", "1",
+                         "--m", "2")
+    assert code == 0
+    assert json.loads(out) == {"2": "1", "1,1": "1"}
+    assert "could not save cache" in err
+    assert blocker.read_text() == ""
+
+
 def test_dist_commands_leave_cache_dir_alone(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("JACKRATIO_CACHE_DIR", str(tmp_path))
     cache = tmp_path / "jack_cache.json"

@@ -129,6 +129,8 @@ def test_domain_errors():
         table.pdf(0.0)
     with pytest.raises(ValueError):
         table.moment(-1)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        table.moment(1.5)
     with pytest.raises(ValueError):
         table.quantile(0.0)
 
@@ -264,6 +266,13 @@ def test_auto_converged_params():
     stats = table.summary_stats()
     assert 0 < stats["mean"] < 1
     assert stats["variance"] > 0
+
+
+def test_auto_converged_params_rejects_empty_start():
+    # K doubles from start_K, so a start of 0 would never grow
+    for start_K in (0, -4):
+        with pytest.raises(ValueError, match="start_K"):
+            auto_converged_params(5, 2, 1, start_K=start_K)
 
 
 # -- quantiles -------------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from appendix_recurrences import appendix_moves, appendix_row
-from jackratio.esym import (EPolynomial, NotSymmetricError, apply_operator,
-                            eigenvalue_closed_form, elementary_values, expand_e_term,
-                            laplace_beltrami_eigenvalue, laplace_beltrami_row)
+from jackratio.esym import (EPolynomial, apply_operator, eigenvalue_closed_form,
+                            elementary_values, expand_e_term, laplace_beltrami_row)
+from operator_oracle import oracle_row
 from jackratio.partitions import partitions_of, weight
 
 
@@ -105,8 +105,18 @@ def test_closed_form_matches_diagonal():
         for m in (2, 3, 4):
             for beta in (Fraction(1), Fraction(2), Fraction(1, 2)):
                 for nu in partitions_of(k, m):
-                    assert laplace_beltrami_eigenvalue(nu, beta, m) == \
+                    assert oracle_row(nu, beta, m).get(nu, Fraction(0)) == \
                         eigenvalue_closed_form(nu, beta, m)
+
+
+def test_rows_match_monomial_oracle():
+    # the E-basis rows against the operator applied in the monomial basis
+    grid = [(m, k) for m in (1, 2, 3, 4) for k in range(1, 9)] + [(5, k) for k in range(1, 7)]
+    for beta in (Fraction(1), Fraction(2), Fraction(4), Fraction(1, 2), Fraction(2, 3)):
+        for m, k in grid:
+            for nu in partitions_of(k, m):
+                assert laplace_beltrami_row(nu, beta, m).as_dict() == oracle_row(nu, beta, m), \
+                    (nu, beta, m)
 
 
 def test_apply_operator_linear():
@@ -151,9 +161,9 @@ def test_appendix_moves_frozen():
 
 
 def test_appendix_row_scaling():
-    # appendix coefficients relate to operator couplings by a factor -2/beta
+    # appendix coefficients relate to operator couplings by a factor -2 at every beta
     assert appendix_row((1, 1), 1, 2) == {(2,): Fraction(-4)}
-    assert appendix_row((1, 1), 2, 2) == {(2,): Fraction(-2)}
+    assert appendix_row((1, 1), 2, 2) == {(2,): Fraction(-4)}
 
 
 def test_elementary_values_match_direct_product():
