@@ -7,9 +7,18 @@ x = 1 - l_n/l_1 admits a series whose terms are indexed by partition
 triples (kappa, tau, delta) in at most n-1 parts, with coefficients built
 from Jack polynomial linearization numbers, generalized Pochhammer symbols,
 and values of Jack polynomials at the identity.  The kappa sum only ever
-enters as (x_1 + ... + x_{n-1})^k C_tau, so the linearization numbers are
-never formed one by one: the tables apply the closed-form Pieri rule k
-times to the delta functional instead (see SeriesTable._build).
+enters as p_1^k C_tau with p_1 = x_1 + ... + x_{n-1}, so the linearization
+numbers are never formed one by one.  The build runs forward instead (see
+`_ForwardBuild`): u_{0,t} = sum_{|tau|=t} [a_tau]_tau C_tau, each step
+multiplies every u_{k,t} by p_1 with the closed-form Pieri rule, and c[k,t]
+is scalar_k/t! times the delta functional L_0 applied to u_{k,t}.  The
+vectors u_{k,t} are integer numerators over one denominator, reduced by one
+gcd sweep per step; L_0 and the Pieri moves are integers over one
+denominator per weight, memoized for every table that needs that weight;
+each c[k,t] is the one Fraction its cell makes.  No c[k,t] depends on K,
+so one build per (m, n, beta, t_max) is extended in place and the table at
+K is its k <= K prefix: a convergence search that doubles K pays for one
+build to its final K.
 
 Everything inside the double series is an exact rational; the only
 transcendental content is one leading constant (gamma functions and a
@@ -47,21 +56,21 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .partitions import partitions_of
+import numpy as np
+
+from .partitions import Partition, partitions_of
 from .special import (
     SignedLogValue,
     gen_pochhammer_exact,
-    jack_at_identity,
     log_fraction,
     log_multivariate_gamma,
     pi_exponent,
     pieri_coefficients,
-    rising_factorial,
 )
 
 MONITOR_TOLERANCE = 1e-10
@@ -193,20 +202,29 @@ def _horner(terms: Sequence[Tuple[float, float]], x, power: int):
     estimate is 1e-13 * sum_j |c_j| x^(power+j), and the value is accepted
     when the estimate is <= max(1e-12, 1e-9 |value|).  The factor 1e-13 is
     not derived from a rounding analysis: it ignores the length of the sum
-    and the rounding of the coefficients themselves.  For an array the steps
-    update s and a in place, so the loop allocates no temporaries.
+    and the rounding of the coefficients themselves.  For an array every
+    step updates s, a and x^power in place, so a call allocates three float
+    arrays in all; for a float the names are plain Python floats.
     """
-    s = 0.0
-    a = 0.0
+    if isinstance(x, float):
+        s = a = 0.0
+    else:
+        s, a = np.zeros_like(x), np.zeros_like(x)
     for c, abs_c in terms:
         s *= x
         s += c
         a *= x
         a += abs_c
     xp = x ** power
-    value = s * xp
-    err = a * 1e-13 * xp
-    return value, (err <= 1e-12) | (err <= 1e-9 * abs(value))
+    s *= xp  # the value
+    a *= 1e-13
+    a *= xp  # the error estimate
+    if isinstance(x, float):
+        bound = 1e-9 * abs(s)
+    else:
+        bound = np.abs(s, out=xp)
+        bound *= 1e-9
+    return s, (a <= 1e-12) | (a <= bound)
 
 
 def _exact_ratio(nums: Sequence[int], denominator: int, x: Fraction,
@@ -248,6 +266,157 @@ def _exact_ratio(nums: Sequence[int], denominator: int, x: Fraction,
     return num // g, den * (q ** k // g)
 
 
+# -- the forward Pieri build ----------------------------------------------------
+
+def _pieri_moves(weight: int, beta: Fraction, nvars: int):
+    """pieri(lam -> mu) for every partition lam of `weight` in at most nvars
+    parts, as ({lam: [(mu, numerator)]}, one common denominator)."""
+    coeffs = {lam: pieri_coefficients(lam, beta, nvars) for lam in partitions_of(weight, nvars)}
+    den = math.lcm(*(c.denominator for out in coeffs.values() for c in out.values()))
+    return {lam: [(mu, c.numerator * (den // c.denominator)) for mu, c in out.items()]
+            for lam, out in coeffs.items()}, den
+
+
+def _pieri_step(vec: Dict[Partition, int], den: int, moves, move_den: int
+                ) -> Tuple[Dict[Partition, int], int]:
+    """p_1 * sum_lam vec[lam]/den C_lam, given the `_pieri_moves` out of the
+    vector's weight, as integer numerators over one denominator in lowest
+    terms."""
+    out: Dict[Partition, int] = {}
+    for lam, v in vec.items():
+        for mu, c in moves[lam]:
+            out[mu] = out.get(mu, 0) + v * c
+    den *= move_den
+    g = math.gcd(den, *out.values())
+    if g > 1:
+        out = {mu: v // g for mu, v in out.items()}
+        den //= g
+    return out, den
+
+
+class _DeltaFunctional:
+    """L_0(delta) = [a_num]_delta C_delta(I) / [a_den]_delta, weight by weight,
+    as integer numerators over their least common denominator.
+
+    With alpha = 2/beta, C_delta(I) = alpha^(2w) w! [nvars beta/2]_delta /
+    (h^*_delta h_*^delta) (see `special.jack_at_identity`), so L_0 is built
+    one box at a time from the weight below.  The box (l, j) that ends the
+    last row l of delta multiplies L_0 by
+
+        alpha w x(a_num) x(nvars beta/2) / (j (1 + alpha (j-1)) x(a_den))
+        / prod_{r<l} q(l-r, delta_r - j)
+
+    where x(a) = a - (l-1) beta/2 + j - 1 is its Pochhammer factor,
+    alpha j (1 + alpha (j-1)) is what it does to the hooks of row l (they
+    telescope) and of itself, and q(d, a) = (d + alpha(a+1)) (d+1 + alpha a)
+    / ((d-1 + alpha(a+1)) (d + alpha a)) is the change of the two hooks of
+    the cell (r, j), whose leg grows from d-1 to d.
+    """
+
+    def __init__(self, spec: _SeriesSpec):
+        self.spec = spec
+        self.levels: List[Tuple[Dict[Partition, int], int]] = [({(): 1}, 1)]
+        self._box: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (l, j) -> factor
+        self._leg: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (d, a) -> q(d, a)
+
+    def at(self, weight: int) -> Tuple[Dict[Partition, int], int]:
+        s = self.spec
+        box, leg = self._box, self._leg
+        while len(self.levels) <= weight:
+            alpha, half = 2 / s.beta, s.beta / 2
+            w = len(self.levels)
+            prev, prev_den = self.levels[-1]
+            factors = {}
+            for delta in partitions_of(w, s.nvars):
+                l, j = len(delta), delta[-1]
+                if (l, j) not in box:
+                    shift = j - 1 - (l - 1) * half
+                    f = (alpha * (s.a_num + shift) * (s.nvars * half + shift) /
+                         (j * (1 + alpha * (j - 1)) * (s.a_den + shift)))
+                    box[(l, j)] = f.numerator, f.denominator
+                num, den = box[(l, j)]
+                num *= w
+                for r in range(l - 1):
+                    da = (l - 1 - r, delta[r] - j)
+                    if da not in leg:
+                        d, a = da
+                        q = ((d + alpha * (a + 1)) * (d + 1 + alpha * a) /
+                             ((d - 1 + alpha * (a + 1)) * (d + alpha * a)))
+                        leg[da] = q.numerator, q.denominator
+                    num *= leg[da][1]
+                    den *= leg[da][0]
+                parent = delta[:-1] + (j - 1,) if j > 1 else delta[:-1]
+                factors[delta] = prev[parent] * num, den
+            # L_0(delta) = factors[delta] / prev_den; put them over one
+            # denominator and take out what every numerator shares with it
+            common = math.lcm(*(d for _, d in factors.values()))
+            nums = {delta: n * (common // d) for delta, (n, d) in factors.items()}
+            common *= prev_den
+            g = math.gcd(common, *nums.values())
+            self.levels.append(({delta: n // g for delta, n in nums.items()}, common // g))
+        return self.levels[weight]
+
+
+# per-weight integer data of the build, shared by every table that needs it:
+# Pieri moves by weight per (beta, nvars), L_0 per (beta, nvars, a_num, a_den)
+_PIERI_MOVES: Dict[Tuple[Fraction, int], Dict[int, tuple]] = {}
+_DELTA_FUNCTIONAL: Dict[tuple, _DeltaFunctional] = {}
+
+
+class _ForwardBuild:
+    """The c[k,t] of one series for k = 0, 1, ..., extended on demand.
+
+        u_{0,t}   = sum_{|tau|=t} [a_tau]_tau C_tau
+        u_{k+1,t} = p_1 u_{k,t}                      (one Pieri step)
+        c[k,t]    = scalar_k / t! * <L_0, u_{k,t}>
+
+    with scalar_k = (gamma_arg)_k / (base^k k!) and L_0 from
+    `_DeltaFunctional`.  Each u_{k,t} is a dict of integer numerators over
+    one denominator, and each cell makes one Fraction.  No c[k,t] depends on
+    K, so the table at K is the k <= K prefix of `rows`.
+    """
+
+    def __init__(self, spec: _SeriesSpec):
+        self.spec = spec
+        self.rows: List[List[Tuple[int, Fraction]]] = []  # rows[k]: (t, c[k,t]), c != 0
+        self._scalar = Fraction(1)
+        self._moves = _PIERI_MOVES.setdefault((spec.beta, spec.nvars), {})
+        self._ell = _DELTA_FUNCTIONAL.setdefault(
+            (spec.beta, spec.nvars, spec.a_num, spec.a_den), _DeltaFunctional(spec))
+        # (t, numerators, denominator) of u_{k,t} for the latest k; a t whose
+        # [a_tau]_tau all vanish contributes nothing and has no vector
+        self._vectors: List[Tuple[int, Dict[Partition, int], int]] = []
+        for t in range(spec.t_max + 1):
+            u = {tau: v for tau in partitions_of(t, spec.nvars)
+                 if (v := gen_pochhammer_exact(spec.a_tau, tau, spec.beta))}
+            if u:
+                den = math.lcm(*(v.denominator for v in u.values()))
+                self._vectors.append(
+                    (t, {tau: v.numerator * (den // v.denominator) for tau, v in u.items()}, den))
+
+    def extend(self, K: int) -> None:
+        s = self.spec
+        while len(self.rows) <= K:
+            k = len(self.rows)
+            if k:
+                self._vectors = [(t, *_pieri_step(u, den, *self._moves_out_of(k - 1 + t)))
+                                 for t, u, den in self._vectors]
+                self._scalar *= (s.gamma_arg + k - 1) / (s.base * k)
+            sn, sd = self._scalar.numerator, self._scalar.denominator
+            row = []
+            for t, u, den in self._vectors:
+                ell, ell_den = self._ell.at(k + t)
+                inner = sum(ell[delta] * v for delta, v in u.items())
+                if inner:
+                    row.append((t, Fraction(inner * sn, den * ell_den * sd * factorial(t))))
+            self.rows.append(row)
+
+    def _moves_out_of(self, weight: int):
+        if weight not in self._moves:
+            self._moves[weight] = _pieri_moves(weight, self.spec.beta, self.spec.nvars)
+        return self._moves[weight]
+
+
 class SeriesTable:
     """Exact coefficients of one truncated series plus its scaling constant.
 
@@ -280,35 +449,16 @@ class SeriesTable:
     # -- assembly -----------------------------------------------------------
 
     def _build(self) -> None:
-        """c[k,t] = scalar_k / t! * sum_{|tau|=t} [a_tau]_tau L_k(tau), where
-
-            L_0(delta) = [a_num]_delta C_delta(I) / [a_den]_delta
-            L_{k+1}(lam) = sum_mu pieri(lam -> mu) L_k(mu)
-
-        so L_k(tau) is L_0 applied to the expansion of p_1^k C_tau.  L_k is
-        needed up to weight K + t_max - k only.
-        """
-        s = self.spec
-        top = s.K + s.t_max
-        by_weight = [partitions_of(w, s.nvars) for w in range(top + 1)]
-        level = {delta: gen_pochhammer_exact(s.a_num, delta, s.beta) *
-                 jack_at_identity(delta, s.beta, s.nvars) /
-                 gen_pochhammer_exact(s.a_den, delta, s.beta)
-                 for parts in by_weight for delta in parts}
-        moves = {lam: pieri_coefficients(lam, s.beta, s.nvars)
-                 for parts in by_weight[:top] for lam in parts}
-        tau_terms = [[(tau, v) for tau in by_weight[t]
-                      if (v := gen_pochhammer_exact(s.a_tau, tau, s.beta))]
-                     for t in range(s.t_max + 1)]
-        for k in range(s.K + 1):
-            if k:
-                level = {lam: sum((c * level[mu] for mu, c in moves[lam].items()), Fraction(0))
-                         for parts in by_weight[:top - k + 1] for lam in parts}
-            scalar_k = rising_factorial(s.gamma_arg, k) / (Fraction(s.base) ** k * factorial(k))
-            for t, terms in enumerate(tau_terms):
-                cell = sum((v * level[tau] for tau, v in terms), Fraction(0))
-                if cell:
-                    self.coeffs[(k, t)] = cell * (scalar_k / factorial(t))
+        """c[k,t] for k <= K: the k <= K prefix of the one forward build of
+        this (m, n, beta, t_max), extended to K first if it is shorter."""
+        key = replace(self.spec, K=0)
+        build = _BUILDS.get(key)
+        if build is None:
+            build = _BUILDS[key] = _ForwardBuild(key)
+        build.extend(self.spec.K)
+        for k, row in enumerate(build.rows[:self.spec.K + 1]):
+            for t, c in row:
+                self.coeffs[(k, t)] = c
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -387,9 +537,8 @@ class SeriesTable:
         self._warn_if_unconverged()
         return self._evaluate(float(x), derivative=True)
 
-    def cdf_many(self, xs) -> "np.ndarray":
+    def cdf_many(self, xs) -> np.ndarray:
         """Vectorized cdf over an array, exact-rational fallback pointwise."""
-        import numpy as np
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             return xs.copy()
@@ -502,6 +651,8 @@ class SeriesTable:
 
 
 _TABLE_CACHE: Dict[_SeriesSpec, SeriesTable] = {}
+# one forward build per series without K (that is, per (m, n, beta, t_max))
+_BUILDS: Dict[_SeriesSpec, _ForwardBuild] = {}
 
 
 def _table(m: int, n: int, beta: int, K: int, t_max: Optional[int]) -> SeriesTable:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Union
 
-from .partitions import (Partition, conjugate, lower_hook_product, normalize,
+from .partitions import (Partition, lower_hook_product, normalize,
                          upper_hook_product)
 
 Number = Union[int, float, Fraction]
@@ -273,14 +273,15 @@ def pieri_coefficients(lam: Partition, beta, m: int) -> Dict[Partition, Fraction
                     * prod_{r<i} (alpha a + i-r+1) / (alpha a + i-r)
 
     with the arms and legs taken in lam, over integers after scaling by
-    alpha's denominator.
+    alpha's denominator.  Along row i the leg is constant, L, on the cells
+    lam_{i+L+1} < c <= lam_{i+L}, and there the product over c telescopes
+    to (L + alpha(j - lam_{i+L+1})) / (L + alpha(j - lam_{i+L})).
     """
     lam = normalize(lam)
     alpha = _alpha(beta)
     if len(lam) > m:
         raise ValueError(f"C_{lam} vanishes in {m} variables")
     a, b = alpha.numerator, alpha.denominator
-    conj = conjugate(lam)
     size = sum(lam) + 1
     out: Dict[Partition, Fraction] = {}
     for i in range(1, min(len(lam) + 1, m) + 1):
@@ -289,10 +290,13 @@ def pieri_coefficients(lam: Partition, beta, m: int) -> Dict[Partition, Fraction
             continue  # no addable box in this row
         j = row + 1
         num, den = 1, size
-        for c in range(1, j):
-            leg = conj[c - 1] - i
-            num *= b * leg + a * (j - c + 1)
-            den *= b * leg + a * (j - c)
+        hi = row
+        for leg in range(len(lam) - i + 1):
+            lo = lam[i + leg] if i + leg < len(lam) else 0
+            if lo < hi:
+                num *= b * leg + a * (j - lo)
+                den *= b * leg + a * (j - hi)
+            hi = lo
         for r in range(1, i):
             arm = lam[r - 1] - j
             num *= a * arm + b * (i - r + 1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import jackratio.dist as dist_mod
+from backward_build import backward_coeffs, delta_functional
 from jackratio import esym, jack
 from jackratio.dist import (DistParams, SeriesTable, TruncationError,
                             TruncationWarning, auto_converged_params,
@@ -200,6 +202,24 @@ def test_cdf_many_keeps_the_input_shape(monkeypatch):
         assert abs(v - b) <= max(1e-12, 1e-9 * abs(b))
 
 
+def test_cdf_many_float_path_allocates_little():
+    # value, error estimate and x^power: three arrays the size of the input,
+    # plus the accept flags; a temporary per operation would double it
+    table = quiet_table(DistParams(m=10, n=3, beta=1, K=50))
+    xs = np.random.default_rng(3).uniform(0, 1, 20_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        table.cdf_many(xs)  # memoizes the polynomial
+        tracemalloc.start()
+        try:
+            table.cdf_many(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(table.cdf(0.3)) is float  # the scalar path stays on Python floats
+    assert peak <= 4 * xs.nbytes
+
+
 def test_quantile_evaluates_each_point_once(monkeypatch):
     table = quiet_table(DistParams(m=10, n=3, beta=2, K=20))
     seen = []
@@ -332,6 +352,81 @@ def test_coeffs_match_pairwise_product_oracle():
                    DistParams(m=10, n=3, beta=4, K=3),
                    DistParams(m=6, n=4, beta=2, K=3)):
         assert quiet_table(params).coeffs == pairwise_product_coeffs(params), params
+
+
+BACKWARD_GRID = [
+    DistParams(m=10, n=3, beta=1, K=25), DistParams(m=10, n=3, beta=2, K=20),
+    DistParams(m=10, n=3, beta=4, K=10), DistParams(m=6, n=4, beta=2, K=8),
+    DistParams(m=11, n=4, beta=1, K=12), DistParams(m=105, n=2, beta=1, K=40),
+    # t_max past the natural bound (the Pochhammer factors vanish from t=7 on)
+    DistParams(m=10, n=3, beta=1, K=8, t_max=12),
+    # half-integer shape: the inner series does not terminate
+    DistParams(m=10, n=2, beta=1, K=10, t_max=6),
+]
+
+
+@pytest.mark.parametrize("params", BACKWARD_GRID)
+def test_forward_build_matches_backward_oracle(params):
+    assert quiet_table(params).coeffs == backward_coeffs(_spec_for(params))
+
+
+def test_delta_functional_matches_closed_forms():
+    # the box-by-box recurrence against the closed forms, one partition each
+    for m, n, beta in ((10, 2, 1), (10, 3, 2), (10, 3, 4), (11, 4, 1), (9, 5, 2)):
+        spec = dist_mod._spec(m, n, beta, 0, 0)
+        for w in range(14):
+            nums, den = dist_mod._DeltaFunctional(spec).at(w)
+            want = {d: delta_functional(d, spec) for d in partitions_of(w, spec.nvars)}
+            assert {d: Fraction(v, den) for d, v in nums.items()} == want, (m, n, beta, w)
+            assert math.gcd(den, *nums.values()) == 1
+
+
+def clear_build_caches():
+    for cache in (dist_mod._TABLE_CACHE, dist_mod._BUILDS,
+                  dist_mod._PIERI_MOVES, dist_mod._DELTA_FUNCTIONAL):
+        cache.clear()
+
+
+@pytest.mark.parametrize("m, n, beta, K", [(10, 3, 1, 25), (10, 3, 2, 10), (105, 2, 1, 50),
+                                           (11, 4, 1, 6)])
+def test_extended_table_equals_cold_build(m, n, beta, K):
+    clear_build_caches()
+    quiet_table(DistParams(m=m, n=n, beta=beta, K=K))
+    extended = quiet_table(DistParams(m=m, n=n, beta=beta, K=2 * K))
+    clear_build_caches()
+    cold = quiet_table(DistParams(m=m, n=n, beta=beta, K=2 * K))
+    assert extended is not cold
+    assert extended.coeffs == cold.coeffs
+    assert extended.diagnostics == cold.diagnostics
+
+
+def count_pieri_steps(monkeypatch):
+    calls = [0]
+    step = dist_mod._pieri_step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(dist_mod, "_pieri_step", counted)
+    return calls
+
+
+def test_convergence_search_extends_one_build(monkeypatch):
+    calls = count_pieri_steps(monkeypatch)
+    clear_build_caches()
+    assert quiet_table(DistParams(m=10, n=3, beta=1, K=100)).coeffs
+    single = calls[0]
+    clear_build_caches()
+    calls[0] = 0
+    assert auto_converged_params(10, 3, 1).K == 100
+    assert 0 < calls[0] <= single
+
+
+def test_convergence_search_picks_the_same_K():
+    clear_build_caches()
+    picked = [auto_converged_params(m, 2, 1, moments=4).K for m in (5, 25, 45, 65, 85, 105)]
+    assert picked == [50, 100, 100, 100, 100, 100]
 
 
 def test_get_table_builds_no_expansions():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from backward_build import cellwise_pieri_coefficients
 from jackratio.jack import jack_product
 from jackratio.partitions import partitions_of
 from jackratio.special import (SignedLogValue, gen_pochhammer,
@@ -147,6 +148,16 @@ def test_pieri_coefficients_match_linearization():
                 for lam in partitions_of(k, m):
                     assert pieri_coefficients(lam, beta, m) == \
                         jack_product((1,), lam, beta, m).as_dict(), (beta, m, lam)
+
+
+def test_pieri_coefficients_match_cellwise_product():
+    # the row product telescopes over each run of cells with the same leg
+    for beta in (Fraction(1), Fraction(2), Fraction(4), Fraction(2, 3), Fraction(7, 3)):
+        for m in (1, 2, 3, 4, 5):
+            for k in range(14):
+                for lam in partitions_of(k, m):
+                    assert pieri_coefficients(lam, beta, m) == \
+                        cellwise_pieri_coefficients(lam, beta, m), (beta, m, lam)
 
 
 def test_pieri_coefficients_sum_to_trace_power_identity():
