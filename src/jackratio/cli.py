@@ -124,14 +124,14 @@ def _dist_params(args) -> DistParams:
     return DistParams(m=args.m, n=args.n, beta=args.beta, K=args.K, t_max=args.t_max)
 
 
-def _truncation_metadata(table) -> Dict:
+def _truncation(table) -> Dict:
     d = table.diagnostics
-    return {"truncation": {
+    return {
         "K": int(d["K"]),
         "t_max": int(d["t_max"]),
         "last_increment_rel": d["last_increment_rel"],
         "mass": d["mass"],
-    }}
+    }
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -162,7 +162,7 @@ def _cmd_dist_query(args) -> str:
     rows = [{args.query_input: v, args.subcommand: query(v)}
             for v in getattr(args, args.query_input)]
     return _emit_envelope(f"dist {args.subcommand}", _params_block(params), rows, args,
-                          _truncation_metadata(table))
+                          {"truncation": _truncation(table)})
 
 
 def _cmd_dist_table1(args) -> str:
@@ -173,29 +173,30 @@ def _cmd_dist_table1(args) -> str:
     rows = [{"alpha": a, col: table.quantile(a)} for a in TABLE1_ALPHAS]
     return _emit_envelope(f"dist table1 --variant {args.variant}",
                           _params_block(params), rows, args,
-                          _truncation_metadata(table))
+                          {"truncation": _truncation(table)})
 
 
 def _cmd_dist_table2(args) -> str:
-    rows = []
-    params = None
+    rows, truncation = [], []
     for m in TABLE2_MS:
-        params = auto_converged_params(m, 2, 1, moments=4)
-        s = get_table(params).summary_stats()
+        table = get_table(auto_converged_params(m, 2, 1, moments=4))
+        s = table.summary_stats()
         rows.append({"m": m, "Mean": s["mean"], "Variance": s["variance"],
                      "Skewness": s["skewness"], "Kurtosis": s["kurtosis"]})
+        truncation.append({"m": m, **_truncation(table), "moment_last_increment_rel": {
+            str(h): table.moment_monitor(h) for h in (1, 2, 3, 4)}})
     return _emit_envelope("dist table2", {"n": 2, "beta": 1, "K": "auto"},
-                          rows, args)
+                          rows, args, {"truncation": truncation})
 
 
 def _cmd_dist_fig1(args) -> str:
-    rows = []
+    rows, truncation = [], []
     for m in args.m_grid:
-        params = auto_converged_params(m, 2, 1)
-        value = get_table(params).cdf(0.3)
-        rows.append({"m": m, "Pr(0.7<l_n/l_1<1)": value})
+        table = get_table(auto_converged_params(m, 2, 1))
+        rows.append({"m": m, "Pr(0.7<l_n/l_1<1)": table.cdf(0.3)})
+        truncation.append({"m": m, **_truncation(table)})
     return _emit_envelope("dist fig1", {"n": 2, "beta": 1, "K": "auto", "x": 0.3},
-                          rows, args)
+                          rows, args, {"truncation": truncation})
 
 
 def _cmd_sim(args) -> str:

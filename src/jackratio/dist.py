@@ -41,9 +41,14 @@ zero bits before the final log (see `_exact_ratio`); only that log rounds.
 Its cost grows with the number of powers and the bit size of the
 numerators: about 0.15 ms a point at (105,2,1,K=100) with 152 powers on a
 2-core Xeon with Python 3.11, where a Fraction per Horner step took about
-3 ms.  The moment monitor sums the numerators times e/(e+h), e = rho+k+t,
-per k in ints over the lcm of the reduced denominators of e/(e+h), and
-makes Fractions only of the last increment and of the total.
+3 ms.  Every exact pass reads one integer collapse of the table, made once
+when it is built: D, the numerators N_j = D * sum_{k+t=j} c[k,t] of the
+powers x^(rho+j), j = 0..K+t_max, and the numerators of row K.  The moment
+E[X^h] weighs c[k,t] by e/(e+h) with e = rho+k+t, which depends on k+t
+only, so its total is sum_j N_j e/(e+h) over the K+t_max+1 powers (in ints
+over the lcm of the reduced denominators of e/(e+h)) and the last K
+increment, which the monitor compares with it, is the same sum over row K.
+Only those two become Fractions.
 
 The truncation orders: the outer series is cut at K, the inner one at
 t_max.  When p = beta*(m - n + 1)/2 - 1 is a nonnegative integer the inner
@@ -100,6 +105,7 @@ class DistParams:
     t_max: Optional[int] = None
 
     def __post_init__(self):
+        _check_integers(m=self.m, n=self.n, beta=self.beta, K=self.K, t_max=self.t_max)
         if self.beta not in (1, 2, 4):
             raise ValueError("beta must be 1, 2 or 4")
         if not (self.m > self.n >= 2):
@@ -123,6 +129,15 @@ class DistParams:
     @property
     def resolved_t_max(self) -> int:
         return _resolve_t_max(self.m, self.n, self.beta, self.t_max)
+
+
+def _check_integers(**values) -> None:
+    """ValueError unless every value that is not None is an integer (bools
+    are not: True would pass for 1)."""
+    for name, value in values.items():
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _threshold(m: int, n: int, beta: int) -> Fraction:
@@ -423,6 +438,10 @@ class SeriesTable:
     The cumulative distribution is   const * sum_{k,t} c[k,t] * x^(rho+k+t),
     the density is the term-by-term derivative, and the h-th moment is
     const * sum c[k,t] * (rho+k+t)/(rho+k+t+h).  All c[k,t] are Fractions.
+    Past c[k,t], every term depends on k+t only, so after the build one pass
+    collapses the cells by power j = k+t into integer numerators over one
+    common denominator and keeps the numerators of row K for the monitor;
+    `collapsed`, the polynomials and the moments read only those.
     """
 
     def __init__(self, spec: _SeriesSpec, const: SignedLogValue):
@@ -431,9 +450,18 @@ class SeriesTable:
         self.rho = spec.rho
         self.coeffs: Dict[Tuple[int, int], Fraction] = {}
         self._build()
-        # one common denominator D of every c[k,t]: the exact passes run over
-        # the integer numerators c[k,t] * D
-        self._denominator = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        # one integer pass over the cells: the common denominator D of every
+        # c[k,t], the numerators N_j = D * sum_{k+t=j} c[k,t] of x^(rho+j), and
+        # the (t, c[K,t] * D) of row K; every exact pass reads these alone
+        K = spec.K
+        d = self._denominator = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        self._nums = [0] * (K + spec.t_max + 1)
+        self._last_row: List[Tuple[int, int]] = []
+        for (k, t), c in self.coeffs.items():
+            v = c.numerator * (d // c.denominator)
+            self._nums[k + t] += v
+            if k == K:
+                self._last_row.append((t, v))
         self._collapsed: Optional[List[Fraction]] = None
         self._polys: Dict[bool, tuple] = {}
         self._warned = False
@@ -479,10 +507,7 @@ class SeriesTable:
     def collapsed(self) -> List[Fraction]:
         """Coefficient of x^(rho+j) for j = 0..K+t_max, exactly."""
         if self._collapsed is None:
-            out = [Fraction(0)] * (self.spec.K + self.spec.t_max + 1)
-            for (k, t), c in self.coeffs.items():
-                out[k + t] += c
-            self._collapsed = out
+            self._collapsed = [Fraction(n, self._denominator) for n in self._nums]
         return self._collapsed
 
     def _polynomial(self, derivative: bool):
@@ -491,10 +516,9 @@ class SeriesTable:
         the a_j, or None when one overflows, and the a_j / const as integer
         numerators over the common denominator)."""
         if derivative not in self._polys:
-            coeffs = self.collapsed()
-            nums = [c.numerator * (self._denominator // c.denominator) for c in coeffs]
+            nums = self._nums
             floats = []
-            for c in coeffs:
+            for c in self.collapsed():
                 slv = log_fraction(c) * self.const
                 if slv.sign and slv.log_abs > 700:
                     floats = None
@@ -564,27 +588,29 @@ class SeriesTable:
         self._warn_if_unconverged()
         return value
 
+    def moment_monitor(self, h: int) -> float:
+        """The last K increment of E[X^h] relative to the total."""
+        return self._moment_with_monitor(h)[1]
+
     def _moment_with_monitor(self, h: int) -> Tuple[float, float]:
         """E[X^h] and its last K increment relative to the total, once per h."""
         if not isinstance(h, numbers.Integral) or h < 0:
             raise ValueError("moment order must be a nonnegative integer")
         if h not in self._moments:
-            # c[k,t] e/(e+h) = (c[k,t] D) w[k+t] / (D L), with e = rho+k+t and
-            # L the lcm of the reduced denominators of e/(e+h): the sums are ints
-            d = self._denominator
-            ratios = [Fraction(self.rho + j, self.rho + j + h)
-                      for j in range(self.spec.K + self.spec.t_max + 1)]
+            # e/(e+h) with e = rho+k+t depends on j = k+t only, so the total is
+            # sum_j N_j w_j / (D L) over the powers, with L the lcm of the reduced
+            # denominators of e/(e+h) and w_j = L e/(e+h); the last K increment
+            # is the same sum over row K
+            ratios = [Fraction(self.rho + j, self.rho + j + h) for j in range(len(self._nums))]
             lcm = math.lcm(*(r.denominator for r in ratios))
             weights = [r.numerator * (lcm // r.denominator) for r in ratios]
-            increments = [0] * (self.spec.K + 1)
-            for (k, t), c in self.coeffs.items():
-                increments[k] += c.numerator * (d // c.denominator) * weights[k + t]
-            total = sum(increments)
+            total = sum(n * w for n, w in zip(self._nums, weights))
             if total == 0:
                 self._moments[h] = 0.0, float("inf")
             else:
-                den = d * lcm
-                last = log_fraction(Fraction(increments[self.spec.K], den))
+                den = self._denominator * lcm
+                increment = sum(v * weights[self.spec.K + t] for t, v in self._last_row)
+                last = log_fraction(Fraction(increment, den))
                 total_log = log_fraction(Fraction(total, den))
                 rel_last = (0.0 if last.is_zero()
                             else math.exp(last.log_abs - total_log.log_abs))
@@ -716,8 +742,11 @@ def auto_converged_params(m: int, n: int, beta: int = 1, start_K: Optional[int] 
     With moments > 0 the monitor must also pass for each moment order up to
     that bound (the h-weighted tails decay slightly slower than the mass).
     """
+    _check_integers(start_K=start_K, max_K=max_K, moments=moments)
     if start_K is not None and start_K < 1:
         raise ValueError("start_K must be at least 1")
+    if moments < 0:
+        raise ValueError("moments must be nonnegative")
     K = start_K if start_K is not None else DistParams(m=m, n=n, beta=beta).resolved_K
     while True:
         params = DistParams(m=m, n=n, beta=beta, K=K)
@@ -726,7 +755,7 @@ def auto_converged_params(m: int, n: int, beta: int = 1, start_K: Optional[int] 
         for h in range(1, moments + 1):
             if not ok:
                 break
-            ok = table._moment_with_monitor(h)[1] < MONITOR_TOLERANCE
+            ok = table.moment_monitor(h) < MONITOR_TOLERANCE
         if ok:
             return params
         if K >= max_K:

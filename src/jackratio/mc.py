@@ -15,6 +15,7 @@ bit-for-bit identical to a run with R' replications and the same seed.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Sequence
@@ -35,6 +36,11 @@ class McConfig:
     scale: float = 1.0  # multiplies X; the ratio statistic must not care
 
     def __post_init__(self):
+        for name in ("m", "n", "beta", "replications"):
+            value = getattr(self, name)
+            # bools are ints to Python, but True is no sample size
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (self.m > self.n >= 2):
             raise ValueError("need m > n >= 2")
         if self.beta not in (1, 2):

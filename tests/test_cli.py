@@ -134,6 +134,32 @@ def test_dist_fig1_grid(capsys):
     assert 0 < vals[0] < vals[-1] < 1
 
 
+def test_dist_table2_and_fig1_report_truncation(capsys):
+    code, out, _ = run(capsys, "dist", "fig1", "--m-grid", "5:25:20", "--format", "json")
+    assert code == 0
+    truncation = json.loads(out)["metadata"]["truncation"]
+    assert [t["m"] for t in truncation] == [5, 25]
+    assert [t["K"] for t in truncation] == [50, 100]
+    for t in truncation:
+        assert t.keys() == {"m", "K", "t_max", "last_increment_rel", "mass"}
+        assert t["last_increment_rel"] < 1e-10
+        assert t["mass"] == pytest.approx(1.0, abs=1e-9)
+
+    code, out, _ = run(capsys, "dist", "table2", "--format", "json")
+    assert code == 0
+    envelope = json.loads(out)
+    truncation = envelope["metadata"]["truncation"]
+    assert [t["m"] for t in truncation] == [r["m"] for r in envelope["rows"]]
+    for t in truncation:
+        monitors = t["moment_last_increment_rel"]
+        assert list(monitors) == ["1", "2", "3", "4"]
+        assert all(0 <= v < 1e-10 for v in monitors.values())
+    # CSV carries the rows alone
+    code, out, _ = run(capsys, "dist", "table2")
+    assert code == 0
+    assert out.splitlines()[0] == "m,Mean,Variance,Skewness,Kurtosis"
+
+
 # -- simulation ---------------------------------------------------------------
 
 def test_sim_alpha_json(capsys):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,18 @@ def test_params_validation():
         DistParams(m=10, n=3, t_max=-2)
     with pytest.raises(ValueError):
         DistParams(m=10, n=1, beta=1)
+    # non-integers and bools are domain errors, not TypeErrors from the build
+    for bad in (dict(K=2.5), dict(t_max=1.5), dict(m=10.0), dict(n=3.0), dict(beta=2.0),
+                dict(beta=True), dict(K=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DistParams(**{"m": 10, "n": 3, **bad})
+    for bad in (dict(start_K=2.5), dict(max_K=100.0), dict(moments=1.0), dict(moments=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            auto_converged_params(10, 3, 1, **bad)
+    with pytest.raises(ValueError, match="must be an integer"):
+        auto_converged_params(10.0, 3, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        auto_converged_params(10, 3, 1, moments=-1)
 
 
 def test_default_truncation_orders():
@@ -482,10 +495,18 @@ def test_general_formula_requires_t_max_when_nonterminating():
 
 # -- the exact passes over integers against Fraction oracles ---------------------
 
+def fraction_collapse(table):
+    """The coefficient c_j of x^(rho+j): the Fraction sum of the c[k,t] with k+t = j."""
+    out = [Fraction(0)] * (table.spec.K + table.spec.t_max + 1)
+    for (k, t), c in table.coeffs.items():
+        out[k + t] += c
+    return out
+
+
 def fraction_horner(table, x, derivative):
-    """x^power * sum_j c_j x^j by Horner over Fractions, with c_j = collapsed()[j]
-    and, for the density, c_j * (rho + j) and power rho - 1."""
-    coeffs = table.collapsed()
+    """x^power * sum_j c_j x^j by Horner over Fractions, with c_j from
+    `fraction_collapse` and, for the density, c_j * (rho + j) and power rho - 1."""
+    coeffs = fraction_collapse(table)
     acc = Fraction(0)
     for j in range(len(coeffs) - 1, -1, -1):
         c = coeffs[j]
@@ -509,12 +530,18 @@ def fraction_moment(table, h):
     return (log_fraction(total) * table.const).to_float(), rel_last
 
 
-EXACT_TABLES = [DistParams(m=105, n=2, beta=1, K=100), DistParams(m=10, n=3, beta=2, K=20)]
+EXACT_TABLES = [
+    DistParams(m=105, n=2, beta=1, K=100), DistParams(m=10, n=3, beta=2, K=20),
+    DistParams(m=11, n=4, beta=1, K=12), DistParams(m=10, n=3, beta=4, K=10),
+    # half-integer shape: the inner series does not terminate
+    DistParams(m=10, n=2, beta=1, K=10, t_max=6),
+]
 
 
 @pytest.mark.parametrize("params", EXACT_TABLES)
 def test_integer_horner_matches_fraction_horner(params):
     table = quiet_table(params)
+    assert table.collapsed() == fraction_collapse(table)
     rng = np.random.default_rng(11)
     points = ([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(0.5), Fraction(0.97),
                Fraction(2.0 ** -40)] + [Fraction(float(x)) for x in rng.uniform(0, 1, 20)])
@@ -535,3 +562,33 @@ def test_integer_moment_sums_match_fraction_sums(params):
     mass, rel_last = fraction_moment(table, 0)
     assert table.diagnostics["mass"] == mass
     assert table.diagnostics["last_increment_rel"] == rel_last
+
+
+class NoCells(Mapping):
+    """Stands in for `SeriesTable.coeffs`: any read of a cell fails."""
+
+    def __getitem__(self, key):
+        raise AssertionError("read a cell")
+
+    def __iter__(self):
+        raise AssertionError("walked the cells")
+
+    def __len__(self):
+        raise AssertionError("counted the cells")
+
+
+def test_queries_read_the_collapse_not_the_cells():
+    # every query is O(K + t_max) off the collapse made at construction, so a
+    # fresh table whose cells can no longer be read still answers all of them
+    ref = get_table(auto_converged_params(25, 2, 1, moments=4))
+    xs = [0.05, 0.3, 0.6, 0.97]
+
+    def answers(table):
+        return (table.summary_stats(), [table.moment(h) for h in range(5)],
+                table.collapsed(), [table.cdf(x) for x in xs], [table.pdf(x) for x in xs],
+                table.cdf_many(xs).tolist())
+
+    want = answers(ref)
+    table = SeriesTable(ref.spec, ref.const)
+    table.coeffs = NoCells()
+    assert answers(table) == want

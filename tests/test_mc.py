@@ -16,6 +16,10 @@ def test_config_validation():
         McConfig(m=10, n=3, statistic="median")
     with pytest.raises(ValueError):
         McConfig(m=10, n=3, scale=0.0)
+    for bad in (dict(m=10.0), dict(n=3.0), dict(replications=2.5), dict(replications=True),
+                dict(beta=True), dict(beta=2.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            McConfig(**{"m": 10, "n": 3, **bad})
 
 
 def test_determinism_and_prefix_property():
