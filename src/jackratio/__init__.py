@@ -1,5 +1,11 @@
 """Jack polynomial algebra and the extreme-eigenvalue-ratio distribution
-of singular beta-Wishart matrices, with a Monte Carlo cross-check harness."""
+of singular beta-Wishart matrices, with a Monte Carlo cross-check harness.
+
+The Monte Carlo names load `jackratio.mc`, and with it numpy, on first
+access; the exact layers and the symbolic and distribution commands never
+import numpy."""
+
+import importlib
 
 from .partitions import (
     Partition,
@@ -55,12 +61,20 @@ from .dist import (
     quantile,
     summary_stats,
 )
-from .mc import (
-    McConfig,
-    empirical_moments,
-    empirical_quantile,
-    ks_distance,
-    sample_extreme_ratio,
-)
 
 __version__ = "0.1.0"
+
+_MC_NAMES = ("McConfig", "empirical_moments", "empirical_quantile",
+             "ks_distance", "sample_extreme_ratio")
+
+
+def __getattr__(name):
+    if name == "mc" or name in _MC_NAMES:
+        # not `from . import mc`: its hasattr probe would re-enter this hook
+        mc = importlib.import_module(".mc", __name__)
+        return mc if name == "mc" else getattr(mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "mc", *_MC_NAMES})

@@ -27,7 +27,6 @@ from .dist import (DistParams, TruncationError, auto_converged_params,
 from .esym import laplace_beltrami_row
 from .jack import (DegenerateBetaError, jack_expansion, jack_product,
                    load_expansion_cache, save_expansion_cache)
-from .mc import McConfig, empirical_moments, empirical_quantile, sample_extreme_ratio
 from .partitions import normalize
 
 TABLE1_ALPHAS = (0.01, 0.05, 0.50, 0.90, 0.95)
@@ -200,6 +199,8 @@ def _cmd_dist_fig1(args) -> str:
 
 
 def _cmd_sim(args) -> str:
+    from .mc import (McConfig, empirical_moments, empirical_quantile,
+                     sample_extreme_ratio)
     cfg = McConfig(m=args.m, n=args.n, beta=args.beta, replications=args.reps,
                    seed=args.seed, statistic=args.statistic.replace("-", "_"))
     samples = sample_extreme_ratio(cfg)
@@ -314,6 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write_failed(path, exc: OSError) -> int:
+    print(f"error: could not write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.format is None:
@@ -336,6 +342,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the one file a handler writes: sim --dump
+        return _write_failed(exc.filename, exc)
 
     if cache_path:
         try:
@@ -345,8 +353,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"could not save cache {cache_path}: {exc}", file=sys.stderr)
 
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _write_failed(args.output, exc)
     else:
         print(text)
     return 0

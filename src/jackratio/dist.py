@@ -64,9 +64,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .partitions import Partition, partitions_of
 from .special import (
@@ -77,6 +75,9 @@ from .special import (
     pi_exponent,
     pieri_coefficients,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MONITOR_TOLERANCE = 1e-10
 
@@ -219,11 +220,14 @@ def _horner(terms: Sequence[Tuple[float, float]], x, power: int):
     not derived from a rounding analysis: it ignores the length of the sum
     and the rounding of the coefficients themselves.  For an array every
     step updates s, a and x^power in place, so a call allocates three float
-    arrays in all; for a float the names are plain Python floats.
+    arrays in all; for a float the names are plain Python floats.  numpy is
+    imported in the array branch only, so scalar callers (every `dist`
+    command) never load it.
     """
     if isinstance(x, float):
         s = a = 0.0
     else:
+        import numpy as np
         s, a = np.zeros_like(x), np.zeros_like(x)
     for c, abs_c in terms:
         s *= x
@@ -563,6 +567,7 @@ class SeriesTable:
 
     def cdf_many(self, xs) -> np.ndarray:
         """Vectorized cdf over an array, exact-rational fallback pointwise."""
+        import numpy as np
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             return xs.copy()

@@ -230,6 +230,23 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(target.read_text()) == {"2": "1", "1,1": "1"}
 
 
+def test_unwritable_output_is_a_clean_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "dist", "table2", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: could not write {target}: No such file or directory"
+
+
+def test_unwritable_dump_is_a_clean_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.npy"
+    code, out, err = run(capsys, "sim", "--m", "6", "--n", "3", "--reps", "100",
+                         "--alpha", "0.5", "--dump", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: could not write {target}: No such file or directory"
+
+
 def test_digits_formatting(capsys):
     code, out, _ = run(capsys, "dist", "table1", "--variant", "a", "--digits", "2")
     assert code == 0
