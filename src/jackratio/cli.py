@@ -320,12 +320,29 @@ def _write_failed(path, exc: OSError) -> int:
     return 1
 
 
+def _check_writable(path) -> None:
+    """OSError unless path can be opened for writing.  A file that is there
+    is opened for appending and left as it was; one that is not is created
+    and removed again."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = args.default_format
     if isinstance(getattr(args, "m_grid", None), str):
         args.m_grid = _parse_grid(args.m_grid)
+
+    if args.output:  # fail before the handler's work, not after it
+        try:
+            _check_writable(args.output)
+        except OSError as exc:
+            return _write_failed(args.output, exc)
 
     cache_dir = os.environ.get("JACKRATIO_CACHE_DIR")
     cache_path = (os.path.join(cache_dir, "jack_cache.json")

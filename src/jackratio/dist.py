@@ -34,21 +34,27 @@ estimate is a rule of thumb, not a derived rounding bound (see `_horner`).
 
 The exact passes run over Python ints.  Each table keeps one common
 denominator D, the lcm of the denominators of its c[k,t], and works on the
-integer numerators c * D.  The exact fallback writes the float x as p/2^e,
-sums the numerators by Horner with shifts for the powers of 2^e, and puts
-the result in lowest terms with one gcd against D and a count of trailing
-zero bits before the final log (see `_exact_ratio`); only that log rounds.
-Its cost grows with the number of powers and the bit size of the
-numerators: about 0.15 ms a point at (105,2,1,K=100) with 152 powers on a
-2-core Xeon with Python 3.11, where a Fraction per Horner step took about
-3 ms.  Every exact pass reads one integer collapse of the table, made once
-when it is built: D, the numerators N_j = D * sum_{k+t=j} c[k,t] of the
-powers x^(rho+j), j = 0..K+t_max, and the numerators of row K.  The moment
-E[X^h] weighs c[k,t] by e/(e+h) with e = rho+k+t, which depends on k+t
-only, so its total is sum_j N_j e/(e+h) over the K+t_max+1 powers (in ints
-over the lcm of the reduced denominators of e/(e+h)) and the last K
-increment, which the monitor compares with it, is the same sum over row K.
-Only those two become Fractions.
+integer numerators c * D.  Every exact value leaves the package the same
+way (see `_scaled_float`): the constant is split as c * 2^E with c a float
+near 1, the ratio of integers times 2^E is correctly rounded by Python's
+int true division, and only the product with c rounds again.  The exact
+fallback writes the float x as p/2^e and runs Horner in fixed point,
+s = (s p >> e) + N_j 2^G, with G guard bits: s stays within len(N) + 1 of
+2^G times the sum, and G grows until both ends of that interval round to
+the same float, or until no step truncates (see `_exact_value`).  It costs
+about 45 us a point at (105,2,1,K=100) with 152 powers on a 2-core Xeon
+with Python 3.11, where Horner over the full rationals took about 0.2 ms
+and a Fraction per step about 3 ms.
+
+Every exact pass reads one integer collapse of the table, made once when
+it is built: D, the numerators N_j = D * sum_{k+t=j} c[k,t] of the powers
+x^(rho+j), j = 0..K+t_max, and the numerators of row K.  The moment E[X^h]
+weighs c[k,t] by e/(e+h) with e = rho+k+t, which depends on k+t only, so
+its total is sum_j N_j e/(e+h) over the K+t_max+1 powers (in ints over the
+lcm of the reduced denominators of e/(e+h)) and the last K increment, which
+the monitor compares with it, is the same sum over row K.  The total leaves
+through `_scaled_float`, and the monitor is |increment / total|, one
+correctly rounded int division.
 
 The truncation orders: the outer series is cut at K, the inner one at
 t_max.  When p = beta*(m - n + 1)/2 - 1 is a nonnegative integer the inner
@@ -70,7 +76,6 @@ from .partitions import Partition, partitions_of
 from .special import (
     SignedLogValue,
     gen_pochhammer_exact,
-    log_fraction,
     log_multivariate_gamma,
     pi_exponent,
     pieri_coefficients,
@@ -246,43 +251,83 @@ def _horner(terms: Sequence[Tuple[float, float]], x, power: int):
     return s, (a <= 1e-12) | (a <= bound)
 
 
-def _exact_ratio(nums: Sequence[int], denominator: int, x: Fraction,
-                 power: int) -> Tuple[int, int]:
-    """x^power * sum_j nums[j] x^j / denominator exactly, as (num, den) in
-    lowest terms with den > 0.
+# -- exact values, correctly rounded --------------------------------------------
 
-    With x = p/q and deg = len(nums) - 1 the value is
-    p^power * S / (denominator * q^(deg+power)), where
-    S = sum_j nums[j] p^j q^(deg-j) is summed by Horner over Python ints.
-    For a float x, q is a power of two, so the powers of q are shifts and
-    the final reduction costs one gcd with the (small) denominator plus a
-    count of trailing zero bits; no big-by-big gcd is taken.
+_GUARD = 64  # the guard bits `_exact_value` tries first
+
+
+def _split_constant(const: SignedLogValue) -> Tuple[float, int]:
+    """(c, E) with const = c * 2^E: E an integer and c the signed float
+    exp(log|const| - E log 2), of magnitude within about [2^-1/2, 2^1/2]."""
+    E = round(const.log_abs / math.log(2))
+    return const.sign * math.exp(const.log_abs - E * math.log(2)), E
+
+
+def _scaled_float(num: int, den: int, split: Tuple[float, int]) -> float:
+    """num/den (den > 0) times the constant split as (c, E) by
+    `_split_constant`: num 2^E / den correctly rounded by Python's int true
+    division, with 2^E shifted onto the side where it stays an integer, then
+    times c.  Every exact value leaves the package this way, so c is its
+    only other rounding.  OverflowError when num 2^E / den is beyond float
+    range."""
+    c, E = split
+    return ((num << E) / den if E >= 0 else num / (den << -E)) * c
+
+
+def _fixed_horner(shifted: Sequence[int], p: int, e: int, power: int) -> int:
+    """x^power * sum_j shifted[j] x^j in fixed point, for x = p/2^e in [0, 1].
+
+    With shifted[j] = N_j 2^G and S = x^power sum_j N_j x^j, each Horner
+    step s = (s p >> e) + shifted[j] and the final s p^power >> e power
+    floor once, losing less than one unit, and x <= 1 damps what the earlier
+    floors lost, so |s - 2^G S| <= len(shifted) + 1.  When
+    G >= e (len(shifted) - 1 + power) no floor drops a bit and s = 2^G S.
+    """
+    s = 0
+    for c in reversed(shifted):
+        s = (s * p >> e) + c
+    return s * p ** power >> e * power
+
+
+def _exact_value(shifted: Sequence[int], den: int, x: Fraction, power: int,
+                 split: Tuple[float, int]) -> float:
+    """x^power * sum_j N_j x^j / den times the constant split as (c, E), for
+    a dyadic x = p/2^e in [0, 1] (every float is one) and shifted[j] =
+    N_j 2^_GUARD: the rational part correctly rounded, then times c (see
+    `_scaled_float`).
+
+    `_fixed_horner` with G guard bits gives s within b = len(shifted) + 1
+    of 2^G S.  Rounding and the product with c are monotone, so when s - b
+    and s + b over den 2^G give the same `_scaled_float`, 2^G S does too.
+    Otherwise G grows, to 64 bits of S above b when s already shows its
+    size, else to twice as many, and at most to e (deg + power), where s is
+    exact; that also decides an exact zero and a value beyond float range
+    (OverflowError).
     """
     p, q = x.numerator, x.denominator
-    k = len(nums) - 1 + power
-    dyadic = not q & (q - 1)
-    s = 0
-    if dyadic:
-        e = q.bit_length() - 1
-        for i, c in enumerate(reversed(nums)):
-            s = s * p + (c << e * i)
-    else:
-        qi = 1
-        for c in reversed(nums):
-            s = s * p + c * qi
-            qi *= q
-    num = s * p ** power
-    if num == 0:
-        return 0, 1
-    g = math.gcd(num, denominator)
-    num //= g
-    den = denominator // g
-    # num is now prime to den, so only q^k can share a factor with it
-    if dyadic:
-        shift = min((num & -num).bit_length() - 1, e * k)
-        return num >> shift, den << (e * k - shift)
-    g = math.gcd(num, q ** k)
-    return num // g, den * (q ** k // g)
+    if q & (q - 1):
+        raise ValueError("x must be a dyadic rational, as every float is")
+    e = q.bit_length() - 1
+    b = len(shifted) + 1
+    top = e * (len(shifted) - 1 + power)
+    G = min(_GUARD, top)
+    while True:
+        terms = shifted if G == _GUARD else [n << G >> _GUARD for n in shifted]
+        s = _fixed_horner(terms, p, e, power)
+        scaled_den = den << G
+        if G == top:
+            return _scaled_float(s, scaled_den, split)
+        try:
+            lo = _scaled_float(s - b, scaled_den, split)
+            if lo == _scaled_float(s + b, scaled_den, split):
+                return lo
+        except OverflowError:  # an end is beyond float range: not decided yet
+            pass
+        if abs(s) > 2 * b:
+            G += max(64, 64 + b.bit_length() - abs(s).bit_length())
+        else:
+            G *= 2
+        G = min(G, top)
 
 
 # -- the forward Pieri build ----------------------------------------------------
@@ -451,6 +496,7 @@ class SeriesTable:
     def __init__(self, spec: _SeriesSpec, const: SignedLogValue):
         self.spec = spec
         self.const = const
+        self._split = _split_constant(const)
         self.rho = spec.rho
         self.coeffs: Dict[Tuple[int, int], Fraction] = {}
         self._build()
@@ -517,31 +563,33 @@ class SeriesTable:
     def _polynomial(self, derivative: bool):
         """The cdf, or with derivative the pdf, as x^power * sum_j a_j x^j, once
         per table: (power, the Horner terms of `_horner` with const folded into
-        the a_j, or None when one overflows, and the a_j / const as integer
-        numerators over the common denominator)."""
+        the a_j, or None when they overflow, and the a_j / const as integer
+        numerators over the common denominator times 2^_GUARD, as
+        `_exact_value` takes them)."""
         if derivative not in self._polys:
-            nums = self._nums
-            floats = []
-            for c in self.collapsed():
-                slv = log_fraction(c) * self.const
-                if slv.sign and slv.log_abs > 700:
-                    floats = None
-                    break
-                floats.append(slv.to_float())
-            power = self.rho
+            nums, power = self._nums, self.rho
             if derivative:
                 nums = [n * (self.rho + j) for j, n in enumerate(nums)]
-                if floats is not None:
-                    floats = [c * (self.rho + j) for j, c in enumerate(floats)]
                 power -= 1
-            terms = None if floats is None else [(c, abs(c)) for c in reversed(floats)]
-            self._polys[derivative] = power, terms, nums
+            # every running sum of `_horner` at 0 <= x <= 1 is at most sum_j |a_j|,
+            # so none overflows while that sum is finite
+            try:
+                floats = [_scaled_float(n, self._denominator, self._split) for n in reversed(nums)]
+                terms = ([(c, abs(c)) for c in floats]
+                         if math.isfinite(sum(map(abs, floats))) else None)
+            except OverflowError:  # a coefficient beyond float range
+                terms = None
+            self._polys[derivative] = power, terms, [n << _GUARD for n in nums]
         return self._polys[derivative]
 
     def _eval_exact(self, x: Fraction, derivative: bool) -> float:
-        power, _, nums = self._polynomial(derivative)
-        num, den = _exact_ratio(nums, self._denominator, x, power)
-        return (SignedLogValue.from_ratio(num, den) * self.const).to_float()
+        """The cdf, or with derivative the pdf, at a float x given as a
+        Fraction, by `_exact_value`: x^power * sum_j N_j x^j / D correctly
+        rounded, times the constant split as (c, E).  Its fixed-point Horner
+        keeps s within len(N) + 1 of 2^G times that sum and grows the guard
+        bits G until the rounding is decided."""
+        power, _, shifted = self._polynomial(derivative)
+        return _exact_value(shifted, self._denominator, x, power, self._split)
 
     def _evaluate(self, x: float, derivative: bool) -> float:
         if x == 0:
@@ -613,13 +661,10 @@ class SeriesTable:
             if total == 0:
                 self._moments[h] = 0.0, float("inf")
             else:
-                den = self._denominator * lcm
                 increment = sum(v * weights[self.spec.K + t] for t, v in self._last_row)
-                last = log_fraction(Fraction(increment, den))
-                total_log = log_fraction(Fraction(total, den))
-                rel_last = (0.0 if last.is_zero()
-                            else math.exp(last.log_abs - total_log.log_abs))
-                self._moments[h] = (total_log * self.const).to_float(), rel_last
+                self._moments[h] = (
+                    _scaled_float(total, self._denominator * lcm, self._split),
+                    abs(increment / total))
         return self._moments[h]
 
     def quantile(self, alpha: float, tol: float = 1e-8) -> float:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jackratio import cli
 from jackratio.cli import build_parser, main
 from jackratio.dist import TruncationWarning
 from jackratio.esym import EPolynomial
@@ -236,6 +237,31 @@ def test_unwritable_output_is_a_clean_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.strip() == f"error: could not write {target}: No such file or directory"
+
+
+def test_unwritable_output_fails_before_the_handler(capsys, tmp_path, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a table")
+
+    monkeypatch.setattr(cli, "get_table", no_table)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "dist", "table2", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: could not write {target}: No such file or directory"
+
+
+def test_output_file_is_left_alone_when_the_handler_fails(capsys, tmp_path):
+    existing = tmp_path / "old.json"
+    existing.write_text("keep me\n")
+    fresh = tmp_path / "new.json"
+    for target in (existing, fresh):
+        code, out, err = run(capsys, "dist", "cdf", "--m", "3", "--n", "3", "--x", "0.5",
+                             "--output", str(target))
+        assert code == 1
+        assert err.startswith("error: ")
+    assert existing.read_text() == "keep me\n"
+    assert not fresh.exists()
 
 
 def test_unwritable_dump_is_a_clean_error(capsys, tmp_path):

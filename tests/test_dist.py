@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import jackratio.dist as dist_mod
@@ -18,7 +19,7 @@ from jackratio.dist import (DistParams, SeriesTable, TruncationError,
                             quantile, summary_stats, _spec_for)
 from jackratio.jack import jack_expansion, jack_product
 from jackratio.partitions import partitions_of
-from jackratio.special import gen_pochhammer_exact, log_fraction, rising_factorial
+from jackratio.special import SignedLogValue, gen_pochhammer_exact, rising_factorial
 
 
 def quiet_table(params):
@@ -516,6 +517,13 @@ def fraction_horner(table, x, derivative):
     return acc * x ** (table.rho - 1 if derivative else table.rho)
 
 
+def rounded(value, const):
+    """value * const with value a Fraction: the correctly rounded float of
+    value * 2^E times c, for const split as c * 2^E."""
+    c, E = dist_mod._split_constant(const)
+    return float(value * Fraction(2) ** E) * c
+
+
 def fraction_moment(table, h):
     """E[X^h] and its relative last increment from per-k Fraction sums."""
     increments = [Fraction(0)] * (table.spec.K + 1)
@@ -525,9 +533,7 @@ def fraction_moment(table, h):
     total = sum(increments, Fraction(0))
     if total == 0:
         return 0.0, float("inf")
-    last = log_fraction(increments[-1])
-    rel_last = 0.0 if last.is_zero() else math.exp(last.log_abs - log_fraction(total).log_abs)
-    return (log_fraction(total) * table.const).to_float(), rel_last
+    return rounded(total, table.const), float(abs(increments[-1] / total))
 
 
 EXACT_TABLES = [
@@ -543,15 +549,13 @@ def test_integer_horner_matches_fraction_horner(params):
     table = quiet_table(params)
     assert table.collapsed() == fraction_collapse(table)
     rng = np.random.default_rng(11)
-    points = ([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(0.5), Fraction(0.97),
+    # the fallback takes floats, so the third point is the float nearest 1/3
+    points = ([Fraction(0), Fraction(1), Fraction(1 / 3), Fraction(0.5), Fraction(0.97),
                Fraction(2.0 ** -40)] + [Fraction(float(x)) for x in rng.uniform(0, 1, 20)])
     for derivative in (False, True):
-        power, _, nums = table._polynomial(derivative)
         for x in points:
             want = fraction_horner(table, x, derivative)
-            num, den = dist_mod._exact_ratio(nums, table._denominator, x, power)
-            assert (num, den) == (want.numerator, want.denominator), (x, derivative)
-            assert table._eval_exact(x, derivative) == (log_fraction(want) * table.const).to_float()
+            assert table._eval_exact(x, derivative) == rounded(want, table.const), (x, derivative)
 
 
 @pytest.mark.parametrize("params", EXACT_TABLES)
@@ -562,6 +566,122 @@ def test_integer_moment_sums_match_fraction_sums(params):
     mass, rel_last = fraction_moment(table, 0)
     assert table.diagnostics["mass"] == mass
     assert table.diagnostics["last_increment_rel"] == rel_last
+
+
+# -- the fixed-point Horner of the exact fallback ---------------------------------
+
+def shifted(nums):
+    """The numerators as `_exact_value` takes them: times 2^_GUARD."""
+    return [n << dist_mod._GUARD for n in nums]
+
+
+def test_fixed_point_horner_survives_heavy_cancellation(monkeypatch):
+    # sum_j (-1)^j C(200, j) x^j = (1 - x)^200: terms near 2^196, a value of 2^-2000
+    nums = [(-1) ** j * math.comb(200, j) for j in range(201)]
+    calls = []
+    horner = dist_mod._fixed_horner
+    monkeypatch.setattr(dist_mod, "_fixed_horner", lambda *a: calls.append(a) or horner(*a))
+    x = 1 - Fraction(1, 2 ** 10)
+    want = (1 - x) ** 200
+    for den, split in ((1, (1.0, 0)), (3, (1.0, 2000)), (7, (-1.25, 2003))):
+        calls.clear()
+        got = dist_mod._exact_value(shifted(nums), den, x, 0, split)
+        assert got == float(want * Fraction(2) ** split[1] / den) * split[0]
+        assert len(calls) > 1  # 64 guard bits cannot show it; G grew
+    assert dist_mod._exact_value(shifted(nums), 1, Fraction(1), 0, (1.0, 0)) == 0.0  # exact zero
+    assert dist_mod._exact_value(shifted(nums), 1, Fraction(1), 3, (1.0, 0)) == 0.0
+
+
+@pytest.mark.parametrize("log_abs", [800.0, -800.0])
+def test_exact_value_with_a_constant_beyond_float_range(log_abs):
+    # const = e^(+-800) is beyond float range, the product is not: 2^E shifts
+    # onto the side of the ratio where it stays an integer
+    const = SignedLogValue(1, log_abs)
+    split = dist_mod._split_constant(const)
+    shift = round(-log_abs / math.log(2))
+    rng = np.random.default_rng(5)
+    nums = [int(v) << max(shift, 0) for v in rng.integers(-10 ** 6, 10 ** 6, 30)]
+    den = 3 << max(-shift, 0)
+    for x in [Fraction(float(v)) for v in rng.uniform(0, 1, 20)]:
+        want = sum(n * x ** j for j, n in enumerate(nums)) * x ** 2 / den
+        got = dist_mod._exact_value(shifted(nums), den, x, 2, split)
+        assert got == rounded(want, const)
+        assert 1e-12 < abs(got) < 1e12
+    if log_abs < 0:
+        return
+    # a table's fallback with that constant (its mass would overflow, so the
+    # constant is swapped in after the build), at x small enough for the range
+    table = SeriesTable(_spec_for(DistParams(m=10, n=3, beta=1, K=10)), SignedLogValue(1, 0.0))
+    table.const, table._split = const, split
+    for x in (2.0 ** -230, 1.5 * 2.0 ** -231, 2.0 ** -228):
+        for derivative in (False, True):
+            want = fraction_horner(table, Fraction(x), derivative)
+            value = table._eval_exact(Fraction(x), derivative)
+            assert value == rounded(want, const)
+            assert 1e-30 < value < 1e80
+
+
+def test_float_terms_are_dropped_when_they_could_overflow():
+    # the float path needs every coefficient and the sum of their sizes in
+    # float range; without it every point takes the exact fallback
+    spec = _spec_for(DistParams(m=10, n=3, beta=1, K=10))
+    table = SeriesTable(spec, SignedLogValue(1, 0.0))
+    sizes = [abs(float(c)) for c in table.collapsed()]
+    # the largest coefficient at 1e308 keeps each one finite, not their sum
+    assert sum(sizes) / max(sizes) > 1.8  # 1e308 * 1.8 is beyond float range
+    for log_abs in (800.0, math.log(1e308 / max(sizes))):
+        table = SeriesTable(spec, SignedLogValue(1, 0.0))
+        table.const, table._split = (SignedLogValue(1, log_abs),
+                                     dist_mod._split_constant(SignedLogValue(1, log_abs)))
+        assert table._polynomial(False)[1] is None
+        x = 2.0 ** -230
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert table.cdf(x) == table._eval_exact(Fraction(x), False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nums=st.lists(st.integers(-2 ** 120, 2 ** 120), min_size=1, max_size=40),
+       e=st.integers(0, 70), data=st.data(), power=st.integers(0, 15),
+       guard=st.integers(0, 200), den=st.integers(1, 2 ** 80), E=st.integers(-300, 300))
+def test_fixed_point_horner_bound_and_rounding(nums, e, data, power, guard, den, E):
+    p = data.draw(st.integers(0, 2 ** e))
+    x = Fraction(p, 2 ** e)
+    exact = sum(n * x ** j for j, n in enumerate(nums)) * x ** power
+    s = dist_mod._fixed_horner([n << guard for n in nums], p, e, power)
+    assert abs(s - exact * 2 ** guard) <= len(nums) + 1
+    if guard >= e * (len(nums) - 1 + power):
+        assert s == exact * 2 ** guard
+    try:
+        want = float(exact * Fraction(2) ** E / den)
+    except OverflowError:
+        return
+    assert dist_mod._exact_value(shifted(nums), den, x, power, (1.0, E)) == want
+
+
+def test_exact_value_decides_a_rounding_the_truncation_crossed():
+    # (1 - X)^4 q(X) at x near 7/8: the sum is near 2^-12 q(x), so a float
+    # differs from its neighbours in about the units of s = 2^64 S, and x
+    # near 1 hardly damps the floors, which leave s a few units low:
+    # s often rounds to another float than 2^64 S, and s +- 1 often agree on it
+    rng = np.random.default_rng(7)
+    base = [(-1) ** j * math.comb(4, j) for j in range(5)]
+    crossed = 0
+    for _ in range(300):
+        q = [int(v) for v in rng.integers(-8, 9, 8)]
+        nums = [sum(base[i] * q[j - i] for i in range(5) if 0 <= j - i < 8) for j in range(12)]
+        p, e = 7 * 2 ** 67 + int(rng.integers(0, 2 ** 60)), 70
+        x = Fraction(p, 2 ** e)
+        exact = sum(n * x ** j for j, n in enumerate(nums))
+        s = dist_mod._fixed_horner(shifted(nums), p, e, 0)
+        crossed += float(Fraction(s, 2 ** dist_mod._GUARD)) != float(exact)
+        assert dist_mod._exact_value(shifted(nums), 1, x, 0, (1.0, 0)) == float(exact)
+    assert crossed > 100
+
+
+def test_exact_value_needs_a_dyadic_point():
+    with pytest.raises(ValueError, match="dyadic"):
+        dist_mod._exact_value(shifted([1, 2]), 1, Fraction(1, 3), 0, (1.0, 0))
 
 
 class NoCells(Mapping):
