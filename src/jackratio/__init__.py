@@ -19,7 +19,6 @@ from .partitions import (
 from .esym import (
     EPolynomial,
     LBRow,
-    apply_operator,
     eigenvalue_closed_form,
     elementary_values,
     laplace_beltrami_row,
@@ -32,18 +31,13 @@ from .jack import (
     jack_at_identity,
     jack_expansion,
     jack_product,
-    jack_product_with_trace_power,
     leading_elementary_coeff,
     load_expansion_cache,
     save_expansion_cache,
 )
 from .special import (
-    SignedLogValue,
-    gen_pochhammer,
     gen_pochhammer_exact,
-    log_multivariate_gamma,
     pi_exponent,
-    rising_factorial,
 )
 from .dist import (
     DistParams,

@@ -20,28 +20,31 @@ so one build per (m, n, beta, t_max) is extended in place and the table at
 K is its k <= K prefix: a convergence search that doubles K pays for one
 build to its final K.
 
-Everything inside the double series is an exact rational; the only
-transcendental content is one leading constant (gamma functions and a
-power of pi).  The series coefficients are therefore accumulated exactly
-and scaled by a single signed-log constant at the very end.  This matters:
-for large m the tau sum is an alternating binomial-type sum whose terms
-exceed the result by 20+ orders of magnitude, far beyond what double
-precision accumulation could survive.  Evaluations use a fast float path
-and fall back to exact arithmetic at every point it cannot accept.  The
-float path's error estimate is 1e-13 * sum_j |c_j| x^(rho+j), and a value
-is accepted when that estimate is <= max(1e-12, 1e-9 |value|).  That
-estimate is a rule of thumb, not a derived rounding bound (see `_horner`).
+Everything inside the double series is an exact rational, and so is
+almost all of the one leading constant: for beta in {1, 2, 4} its gamma
+arguments are integers and half-integers, every power of pi cancels, and
+what is left is an exact Fraction q times a float c, 1.0 where m n beta is
+even and 1/sqrt(n), correctly rounded, where it is odd (see
+`LeadingConstant`).  The series coefficients are therefore accumulated
+exactly and scaled by the constant at the very end.  This matters: for
+large m the tau sum is an alternating binomial-type sum whose terms exceed
+the result by 20+ orders of magnitude, far beyond what double precision
+accumulation could survive.  Evaluations use a fast float path and fall
+back to exact arithmetic at every point it cannot accept.  The float
+path's error estimate is 1e-13 * sum_j |c_j| x^(rho+j), and a value is
+accepted when that estimate is <= max(1e-12, 1e-9 |value|).  That estimate
+is a rule of thumb, not a derived rounding bound (see `_horner`).
 
 The exact passes run over Python ints.  Each table keeps one common
 denominator D, the lcm of the denominators of its c[k,t], and works on the
 integer numerators c * D.  Every exact value leaves the package the same
-way (see `_scaled_float`): the constant is split as c * 2^E with c a float
-near 1, the ratio of integers times 2^E is correctly rounded by Python's
-int true division, and only the product with c rounds again.  The exact
-fallback writes the float x as p/2^e and runs Horner in fixed point,
-s = (s p >> e) + N_j 2^G, with G guard bits: s stays within len(N) + 1 of
-2^G times the sum, and G grows until both ends of that interval round to
-the same float, or until no step truncates (see `_exact_value`).  It costs
+way (see `_scaled_float`): the ratio of integers times q is correctly
+rounded by Python's int true division, and only the product with c rounds
+again, which is exact where c = 1.0.  The exact fallback writes the float
+x as p/2^e and runs Horner in fixed point, s = (s p >> e) + N_j 2^G, with
+G guard bits: s stays within len(N) + 1 of 2^G times the sum, and G grows
+until both ends of that interval round to the same float, or until no
+step truncates (see `_exact_value`).  It costs
 about 45 us a point at (105,2,1,K=100) with 152 powers on a 2-core Xeon
 with Python 3.11, where Horner over the full rationals took about 0.2 ms
 and a Fraction per step about 3 ms.
@@ -54,7 +57,8 @@ its total is sum_j N_j e/(e+h) over the K+t_max+1 powers (in ints over the
 lcm of the reduced denominators of e/(e+h)) and the last K increment, which
 the monitor compares with it, is the same sum over row K.  The total leaves
 through `_scaled_float`, and the monitor is |increment / total|, one
-correctly rounded int division.
+correctly rounded int division.  `summary_stats` forms the central moments
+from the same integer totals, exactly (see there).
 
 The truncation orders: the outer series is cut at K, the inner one at
 t_max.  When p = beta*(m - n + 1)/2 - 1 is a nonnegative integer the inner
@@ -69,14 +73,15 @@ import numbers
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .partitions import Partition, partitions_of
 from .special import (
-    SignedLogValue,
+    gamma_exact,
     gen_pochhammer_exact,
-    log_multivariate_gamma,
+    multivariate_gamma,
     pi_exponent,
     pieri_coefficients,
 )
@@ -198,21 +203,79 @@ def _spec_for(params: DistParams) -> _SeriesSpec:
     return _spec(params.m, params.n, params.beta, params.resolved_K, params.t_max)
 
 
-def _constant(m: int, n: int, beta: int) -> SignedLogValue:
+@dataclass(frozen=True)
+class LeadingConstant:
+    """A constant q * c: q an exact Fraction and c one float, the part of
+    pi^(h/2) n^-f that is not rational (see `_leading`).  For a series table
+    c is 1.0 where m n beta is even and 1/sqrt(n), rounded once, where it is
+    odd.  `sign` and `log_abs` give the constant in signed-log form."""
+    q: Fraction
+    c: float
+
+    @property
+    def sign(self) -> int:
+        return ((self.q > 0) - (self.q < 0)) * ((self.c > 0) - (self.c < 0))
+
+    @property
+    def log_abs(self) -> float:
+        # math.log takes integers beyond float range
+        q = self.q
+        return math.log(abs(q.numerator)) - math.log(q.denominator) + math.log(abs(self.c))
+
+
+def _constant(m: int, n: int, beta: int) -> Tuple[Fraction, int, Fraction]:
+    """The paper's leading constant exactly, as (q, h, f) for q pi^(h/2) n^-f:
+
+        Gamma_{n-1}(n b/2 + 1) Gamma_{n-1}((n-2) b/2 + 1) pi^r
+        / (Gamma_{n-1}((n-1) b + 2) Gamma(n b/2) Gamma_n(m b/2))  n^(-m n b/2)
+
+    with the multivariate gammas at parameter b = beta and r from
+    `special.pi_exponent`.
+    """
     b = Fraction(beta)
-    out = log_multivariate_gamma(b, n - 1, Fraction(n) * b / 2 + 1)
-    out = out * log_multivariate_gamma(b, n - 1, Fraction(n - 2) * b / 2 + 1)
-    out = out.scale_log(float(pi_exponent("r", b, n)) * math.log(math.pi))
-    out = out / log_multivariate_gamma(b, n - 1, Fraction(n - 1) * b + 2)
-    out = out.scale_log(-float(Fraction(m * n) * b / 2) * math.log(n))
-    out = out / SignedLogValue(1, math.lgamma(float(Fraction(n) * b / 2)))
-    out = out / log_multivariate_gamma(b, n, Fraction(m) * b / 2)
-    return out
+    q, h = Fraction(1), 2 * pi_exponent(b, n)
+    for (gq, gh), sign in ((multivariate_gamma(b, n - 1, Fraction(n) * b / 2 + 1), 1),
+                           (multivariate_gamma(b, n - 1, Fraction(n - 2) * b / 2 + 1), 1),
+                           (multivariate_gamma(b, n - 1, Fraction(n - 1) * b + 2), -1),
+                           (gamma_exact(Fraction(n) * b / 2), -1),
+                           (multivariate_gamma(b, n, Fraction(m) * b / 2), -1)):
+        q *= gq ** sign
+        h += sign * gh
+    return q, int(h), Fraction(m * n) * b / 2
 
 
-def leading_constant(params: DistParams) -> SignedLogValue:
-    """The closed-form constant multiplying the whole series (positive)."""
-    return _constant(params.m, params.n, params.beta)
+@lru_cache(maxsize=None)
+def _series_constant(m: int, n: int, beta: int) -> Tuple[Fraction, int, Fraction]:
+    """(q, h, f) of the constant of a series table: `_constant` times
+    Gamma(m n beta/2), which cancels its power of pi (h = 0).  Kept per
+    shape, because a convergence search builds a table for every K."""
+    q, h, f = _constant(m, n, beta)
+    gq, gh = gamma_exact(f)
+    return q * gq, h + gh, f
+
+
+def _leading(q: Fraction, h: int, f: Fraction, n: int) -> LeadingConstant:
+    """q pi^(h/2) n^-f as a `LeadingConstant`: n^-floor(f) goes into q, and
+    c is pi^(h/2), exactly 1.0 for h = 0 (every table), times 1/sqrt(n)
+    where f is a half-integer.  Then m n beta is odd, so n is odd and
+    1/sqrt(n) is irrational: r = floor(2^P / sqrt(n)) leaves it strictly
+    inside (r, r + 1) / 2^P, which for P = 64 + bits(n) holds no point
+    halfway between two floats, so (r + 1/2) / 2^P rounds as 1/sqrt(n) does.
+    """
+    whole = math.floor(f)
+    c = math.pi ** (h / 2)
+    if f != whole:
+        P = 64 + n.bit_length()
+        r = math.isqrt((1 << 2 * P) // n)
+        c *= (2 * r + 1) / (1 << P + 1)
+    return LeadingConstant(q / Fraction(n) ** whole, c)
+
+
+def leading_constant(params: DistParams) -> LeadingConstant:
+    """The closed-form constant of the paper (positive) as q * c: q an exact
+    Fraction, c a float holding the powers of pi and n that are not
+    rational.  A series table's constant is this times Gamma(m n beta/2)."""
+    return _leading(*_constant(params.m, params.n, params.beta), params.n)
 
 
 def _horner(terms: Sequence[Tuple[float, float]], x, power: int):
@@ -256,22 +319,13 @@ def _horner(terms: Sequence[Tuple[float, float]], x, power: int):
 _GUARD = 64  # the guard bits `_exact_value` tries first
 
 
-def _split_constant(const: SignedLogValue) -> Tuple[float, int]:
-    """(c, E) with const = c * 2^E: E an integer and c the signed float
-    exp(log|const| - E log 2), of magnitude within about [2^-1/2, 2^1/2]."""
-    E = round(const.log_abs / math.log(2))
-    return const.sign * math.exp(const.log_abs - E * math.log(2)), E
-
-
-def _scaled_float(num: int, den: int, split: Tuple[float, int]) -> float:
-    """num/den (den > 0) times the constant split as (c, E) by
-    `_split_constant`: num 2^E / den correctly rounded by Python's int true
-    division, with 2^E shifted onto the side where it stays an integer, then
-    times c.  Every exact value leaves the package this way, so c is its
-    only other rounding.  OverflowError when num 2^E / den is beyond float
-    range."""
-    c, E = split
-    return ((num << E) / den if E >= 0 else num / (den << -E)) * c
+def _scaled_float(num: int, den: int, const: LeadingConstant) -> float:
+    """num/den (den > 0) times const = q c: num q / den correctly rounded by
+    Python's int true division, then times c.  Every exact value leaves the
+    package this way, so c is its only other rounding, and none where
+    c = 1.0.  OverflowError when num q / den is beyond float range."""
+    q = const.q
+    return (num * q.numerator) / (den * q.denominator) * const.c
 
 
 def _fixed_horner(shifted: Sequence[int], p: int, e: int, power: int) -> int:
@@ -290,8 +344,8 @@ def _fixed_horner(shifted: Sequence[int], p: int, e: int, power: int) -> int:
 
 
 def _exact_value(shifted: Sequence[int], den: int, x: Fraction, power: int,
-                 split: Tuple[float, int]) -> float:
-    """x^power * sum_j N_j x^j / den times the constant split as (c, E), for
+                 const: LeadingConstant) -> float:
+    """x^power * sum_j N_j x^j / den times the constant q c, for
     a dyadic x = p/2^e in [0, 1] (every float is one) and shifted[j] =
     N_j 2^_GUARD: the rational part correctly rounded, then times c (see
     `_scaled_float`).
@@ -316,10 +370,10 @@ def _exact_value(shifted: Sequence[int], den: int, x: Fraction, power: int,
         s = _fixed_horner(terms, p, e, power)
         scaled_den = den << G
         if G == top:
-            return _scaled_float(s, scaled_den, split)
+            return _scaled_float(s, scaled_den, const)
         try:
-            lo = _scaled_float(s - b, scaled_den, split)
-            if lo == _scaled_float(s + b, scaled_den, split):
+            lo = _scaled_float(s - b, scaled_den, const)
+            if lo == _scaled_float(s + b, scaled_den, const):
                 return lo
         except OverflowError:  # an end is beyond float range: not decided yet
             pass
@@ -493,10 +547,9 @@ class SeriesTable:
     `collapsed`, the polynomials and the moments read only those.
     """
 
-    def __init__(self, spec: _SeriesSpec, const: SignedLogValue):
+    def __init__(self, spec: _SeriesSpec, const: LeadingConstant):
         self.spec = spec
         self.const = const
-        self._split = _split_constant(const)
         self.rho = spec.rho
         self.coeffs: Dict[Tuple[int, int], Fraction] = {}
         self._build()
@@ -515,7 +568,7 @@ class SeriesTable:
         self._collapsed: Optional[List[Fraction]] = None
         self._polys: Dict[bool, tuple] = {}
         self._warned = False
-        self._moments: Dict[int, Tuple[float, float]] = {}
+        self._moments: Dict[int, Tuple[int, int, float]] = {}
         mass, rel_last = self._moment_with_monitor(0)
         self.diagnostics = {
             "K": float(spec.K),
@@ -574,7 +627,7 @@ class SeriesTable:
             # every running sum of `_horner` at 0 <= x <= 1 is at most sum_j |a_j|,
             # so none overflows while that sum is finite
             try:
-                floats = [_scaled_float(n, self._denominator, self._split) for n in reversed(nums)]
+                floats = [_scaled_float(n, self._denominator, self.const) for n in reversed(nums)]
                 terms = ([(c, abs(c)) for c in floats]
                          if math.isfinite(sum(map(abs, floats))) else None)
             except OverflowError:  # a coefficient beyond float range
@@ -585,11 +638,11 @@ class SeriesTable:
     def _eval_exact(self, x: Fraction, derivative: bool) -> float:
         """The cdf, or with derivative the pdf, at a float x given as a
         Fraction, by `_exact_value`: x^power * sum_j N_j x^j / D correctly
-        rounded, times the constant split as (c, E).  Its fixed-point Horner
+        rounded, times the constant q c.  Its fixed-point Horner
         keeps s within len(N) + 1 of 2^G times that sum and grows the guard
         bits G until the rounding is decided."""
         power, _, shifted = self._polynomial(derivative)
-        return _exact_value(shifted, self._denominator, x, power, self._split)
+        return _exact_value(shifted, self._denominator, x, power, self.const)
 
     def _evaluate(self, x: float, derivative: bool) -> float:
         if x == 0:
@@ -643,10 +696,16 @@ class SeriesTable:
 
     def moment_monitor(self, h: int) -> float:
         """The last K increment of E[X^h] relative to the total."""
-        return self._moment_with_monitor(h)[1]
+        return self._moment_sums(h)[2]
 
     def _moment_with_monitor(self, h: int) -> Tuple[float, float]:
-        """E[X^h] and its last K increment relative to the total, once per h."""
+        """E[X^h] and its last K increment relative to the total."""
+        total, den, rel_last = self._moment_sums(h)
+        return (_scaled_float(total, den, self.const) if total else 0.0), rel_last
+
+    def _moment_sums(self, h: int) -> Tuple[int, int, float]:
+        """(T, B, r), once per h: E[X^h] = const * T / B exactly, and r is its
+        last K increment relative to the total."""
         if not isinstance(h, numbers.Integral) or h < 0:
             raise ValueError("moment order must be a nonnegative integer")
         if h not in self._moments:
@@ -658,13 +717,9 @@ class SeriesTable:
             lcm = math.lcm(*(r.denominator for r in ratios))
             weights = [r.numerator * (lcm // r.denominator) for r in ratios]
             total = sum(n * w for n, w in zip(self._nums, weights))
-            if total == 0:
-                self._moments[h] = 0.0, float("inf")
-            else:
-                increment = sum(v * weights[self.spec.K + t] for t, v in self._last_row)
-                self._moments[h] = (
-                    _scaled_float(total, self._denominator * lcm, self._split),
-                    abs(increment / total))
+            increment = sum(v * weights[self.spec.K + t] for t, v in self._last_row)
+            self._moments[h] = (total, self._denominator * lcm,
+                                abs(increment / total) if total else float("inf"))
         return self._moments[h]
 
     def quantile(self, alpha: float, tol: float = 1e-8) -> float:
@@ -703,26 +758,40 @@ class SeriesTable:
         return value
 
     def summary_stats(self) -> Dict[str, float]:
-        """Mean, variance, skewness and (non-excess) kurtosis of the statistic."""
-        raw = []
+        """Mean, variance, skewness and (non-excess) kurtosis of the statistic.
+
+        The raw moments are const T_h / B_h exactly (see `_moment_sums`),
+        with const = q c at the exact value of the float c.  Over one
+        denominator b they are a_h / b, so the central moments are integers
+        over powers of b: variance v/b^2, mu3 m3/b^3, mu4 m4/b^4.  Mean,
+        variance and kurtosis m4/v^2 are each one correctly rounded int
+        division; skewness is the square root of the correctly rounded
+        m3^2/v^3, with the sign of m3.
+        """
+        sums = []
         for h in (1, 2, 3, 4):
-            value, rel_last = self._moment_with_monitor(h)
+            total, den, rel_last = self._moment_sums(h)
             if rel_last >= MONITOR_TOLERANCE:
                 raise TruncationError(
                     f"moment {h} unconverged at K={self.spec.K}: last increment "
                     f"{rel_last:.2e} of the total; increase K")
-            raw.append(value)
-        m1, m2, m3, m4 = raw
-        var = m2 - m1 * m1
-        if var <= 0:
+            sums.append((total, den))
+        c_num, c_den = self.const.c.as_integer_ratio()
+        scale = self.const.q.numerator * c_num
+        common = math.lcm(*(den for _, den in sums))
+        a1, a2, a3, a4 = (scale * total * (common // den) for total, den in sums)
+        b = self.const.q.denominator * c_den * common
+        v = a2 * b - a1 * a1
+        if v <= 0:
             raise TruncationError("nonpositive variance from truncated moments")
-        mu3 = m3 - 3 * m1 * m2 + 2 * m1 ** 3
-        mu4 = m4 - 4 * m1 * m3 + 6 * m1 * m1 * m2 - 3 * m1 ** 4
+        m3 = (a3 * b - 3 * a1 * a2) * b + 2 * a1 ** 3
+        m4 = ((a4 * b - 4 * a1 * a3) * b + 6 * a1 * a1 * a2) * b - 3 * a1 ** 4
+        skewness = math.sqrt(m3 * m3 / v ** 3)
         return {
-            "mean": m1,
-            "variance": var,
-            "skewness": mu3 / var ** 1.5,
-            "kurtosis": mu4 / var ** 2,
+            "mean": a1 / b,
+            "variance": v / (b * b),
+            "skewness": skewness if m3 >= 0 else -skewness,
+            "kurtosis": m4 / (v * v),
         }
 
 
@@ -735,7 +804,7 @@ def _table(m: int, n: int, beta: int, K: int, t_max: Optional[int]) -> SeriesTab
     spec = _spec(m, n, beta, K, t_max)
     table = _TABLE_CACHE.get(spec)
     if table is None:
-        const = _constant(m, n, beta) * SignedLogValue(1, math.lgamma(float(spec.gamma_arg)))
+        const = _leading(*_series_constant(m, n, beta), n)
         table = _TABLE_CACHE[spec] = SeriesTable(spec, const)
     return table
 

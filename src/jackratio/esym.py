@@ -281,17 +281,6 @@ def _off_diagonal(nu: Partition, m: int) -> Dict[Partition, int]:
     return out
 
 
-def apply_operator(f: EPolynomial, beta) -> EPolynomial:
-    """The operator applied to an arbitrary E-basis polynomial, by linearity."""
-    out: Dict[Partition, Fraction] = {}
-    for kappa, c in f.terms.items():
-        if weight(kappa) == 0:
-            continue  # constants are annihilated
-        for target, b in laplace_beltrami_row(kappa, beta, f.m).entries:
-            out[target] = out.get(target, Fraction(0)) + c * b
-    return EPolynomial(out, f.m)
-
-
 def eigenvalue_closed_form(kappa: Partition, beta, m: int) -> Fraction:
     """Diagonal entry of the operator row for kappa: sum_i k_i*(k_i - 1 + beta*(m - i))."""
     beta = Fraction(beta)

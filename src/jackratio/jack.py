@@ -34,7 +34,7 @@ from .partitions import (
     upper_hook_product,
     weight,
 )
-from .special import jack_at_identity, pieri_coefficients
+from .special import jack_at_identity
 
 
 class DegenerateBetaError(ValueError):
@@ -152,30 +152,6 @@ def jack_product(kappa: Partition, tau: Partition, beta, m: int) -> JackExpansio
     """Expansion of C_kappa * C_tau as a combination of C_delta, exactly."""
     product = jack_expansion(kappa, beta, m) * jack_expansion(tau, beta, m)
     return e_to_jack(product, beta)
-
-
-def jack_product_with_trace_power(k: int, tau: Partition, beta, m: int) -> Dict[Partition, Fraction]:
-    """Expansion of (x_1 + ... + x_m)^k * C_tau as a Jack combination.
-
-    Since the weight-k Jack polynomials sum to the k-th power of e_1, the
-    coefficient of C_delta here equals the sum over all kappa of weight k of
-    the coefficient of C_delta in C_kappa * C_tau.  It is computed by k
-    applications of the Pieri rule (`special.pieri_coefficients`).
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    beta = _as_beta(beta)
-    tau = normalize(tau)
-    if len(tau) > m:
-        raise ValueError(f"C_{tau} vanishes in {m} variables")
-    out: Dict[Partition, Fraction] = {tau: Fraction(1)}
-    for _ in range(k):
-        step: Dict[Partition, Fraction] = {}
-        for lam, c in out.items():
-            for mu, g in pieri_coefficients(lam, beta, m).items():
-                step[mu] = step.get(mu, Fraction(0)) + c * g
-        out = step
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Signed log-domain scalars and the special functions built on them.
+"""Exact gamma values, Pochhammer symbols and the Jack closed forms.
 
-Large gamma-function products overflow double precision long before the
-quantities of interest do, so multiplicative constants are carried as a
-sign together with the log of the absolute value.  Exact-rational variants
-of the Pochhammer products are provided as well; the series code prefers
-those, converting to the log domain only at the very end.
+For beta in {1, 2, 4} every gamma argument of the series' leading constant
+is a positive integer or half-integer, so Gamma and the multivariate gamma
+are kept exact here, as a rational times a power of sqrt(pi).  The
+generalized Pochhammer symbols are exact rationals.
 
 The two closed forms the series needs from Jack polynomial theory live here
 too: the value of C_kappa at the identity and the Pieri coefficients of
@@ -14,155 +13,58 @@ too: the value of C_kappa at the identity and the Pieri coefficients of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Dict, Tuple
 
 from .partitions import (Partition, lower_hook_product, normalize,
                          upper_hook_product)
-
-Number = Union[int, float, Fraction]
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as (sign, log|value|); sign 0 encodes exact zero."""
-    sign: int
-    log_abs: float
-
-    @classmethod
-    def zero(cls) -> "SignedLogValue":
-        return cls(0, float("-inf"))
-
-    @classmethod
-    def one(cls) -> "SignedLogValue":
-        return cls(1, 0.0)
-
-    @classmethod
-    def from_float(cls, v: float) -> "SignedLogValue":
-        if v == 0:
-            return cls.zero()
-        return cls(1 if v > 0 else -1, math.log(abs(v)))
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "SignedLogValue":
-        fr = Fraction(fr)
-        return cls.from_ratio(fr.numerator, fr.denominator)
-
-    @classmethod
-    def from_ratio(cls, num: int, den: int) -> "SignedLogValue":
-        """num/den for integers in lowest terms with den > 0, as from_fraction
-        would give it, without the gcd that building the Fraction costs."""
-        if num == 0:
-            return cls.zero()
-        # big integers exceed float range, so take logs of the integer parts
-        return cls(1 if num > 0 else -1, _log_int(abs(num)) - _log_int(den))
-
-    @classmethod
-    def exp(cls, log_value: float, sign: int = 1) -> "SignedLogValue":
-        return cls(sign, log_value)
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue.zero()
-        return SignedLogValue(self.sign * other.sign, self.log_abs + other.log_abs)
-
-    def __truediv__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("signed-log division by exact zero")
-        if self.sign == 0:
-            return SignedLogValue.zero()
-        return SignedLogValue(self.sign * other.sign, self.log_abs - other.log_abs)
-
-    def __neg__(self) -> "SignedLogValue":
-        return SignedLogValue(-self.sign, self.log_abs)
-
-    def __add__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.log_abs >= other.log_abs else (other, self)
-        diff = lo.log_abs - hi.log_abs  # <= 0
-        if self.sign == other.sign:
-            return SignedLogValue(self.sign, hi.log_abs + math.log1p(math.exp(diff)))
-        delta = -math.expm1(diff)  # 1 - exp(diff) in [0, 1]
-        if delta == 0.0:
-            return SignedLogValue.zero()
-        return SignedLogValue(hi.sign, hi.log_abs + math.log(delta))
-
-    def scale_log(self, log_shift: float) -> "SignedLogValue":
-        if self.sign == 0:
-            return self
-        return SignedLogValue(self.sign, self.log_abs + log_shift)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
-
-
-def _log_int(n: int) -> float:
-    """log of a positive integer, robust to values beyond float range."""
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    try:
-        return math.log(n)
-    except OverflowError:
-        hi = n >> (n.bit_length() - 60)
-        return math.log(hi) + (n.bit_length() - 60) * math.log(2)
-
-
-def log_fraction(fr: Fraction) -> SignedLogValue:
-    return SignedLogValue.from_fraction(fr)
 
 
 # ---------------------------------------------------------------------------
 # gamma-type functions
 # ---------------------------------------------------------------------------
 
-def _log_gamma_signed(z: float) -> SignedLogValue:
-    """Gamma(z) as a signed-log value; poles at nonpositive integers rejected."""
-    if z <= 0 and float(z).is_integer():
-        raise ValueError(f"gamma pole at {z}")
-    if z > 0:
-        return SignedLogValue(1, math.lgamma(z))
-    # sign alternates between consecutive negative integers
-    crossings = math.floor(-z) + 1
-    sign = -1 if crossings % 2 else 1
-    return SignedLogValue(sign, math.lgamma(z))
+def gamma_exact(z) -> Tuple[Fraction, int]:
+    """Gamma(z) at a positive integer or half-integer z as (q, h), exactly:
+    Gamma(z) = q pi^(h/2), with Gamma(k) = (k-1)! and
+    Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi).
 
-
-def log_multivariate_gamma(beta, m: int, c) -> SignedLogValue:
-    """The m-variate gamma function at parameter beta:
-
-        pi^(m(m-1)beta/4) * prod_{i=1..m} Gamma(c - (i-1)beta/2)
-
-    Each shifted argument must avoid the poles of Gamma.
+    ValueError at the poles z = 0, -1, -2, ... and at every other z.
     """
-    beta = Fraction(beta)
+    z = Fraction(z)
+    if z <= 0 and z.denominator == 1:
+        raise ValueError(f"gamma pole at {z}")
+    if z <= 0 or z.denominator > 2:
+        raise ValueError(f"exact gamma needs a positive integer or half-integer, got {z}")
+    if z.denominator == 1:
+        return Fraction(math.factorial(z.numerator - 1)), 0
+    k = z.numerator // 2  # z = k + 1/2
+    return Fraction(math.factorial(2 * k), 4 ** k * math.factorial(k)), 1
+
+
+def multivariate_gamma(beta, m: int, c) -> Tuple[Fraction, int]:
+    """The m-variate gamma function at parameter beta, exactly,
+
+        pi^(m(m-1)beta/4) * prod_{i=1..m} Gamma(c - (i-1)beta/2)  =  q pi^(h/2),
+
+    as (q, h).  Each shifted argument must avoid the poles of Gamma and be a
+    positive integer or half-integer (see `gamma_exact`).
+    """
+    half = Fraction(beta) / 2
     c = Fraction(c)
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = SignedLogValue.exp(float(Fraction(m * (m - 1)) * beta / 4) * math.log(math.pi))
-    for i in range(1, m + 1):
-        arg = c - Fraction(i - 1) * beta / 2
+    q, h = Fraction(1), 0
+    for i in range(m):
+        arg = c - i * half
         if arg <= 0 and arg.denominator == 1:
-            raise ValueError(f"multivariate gamma pole: argument {arg} at row {i}")
-        out = out * _log_gamma_signed(float(arg))
-    return out
-
-
-def rising_factorial(a: Fraction, n: int) -> Fraction:
-    """Exact rising factorial a (a+1) ... (a+n-1)."""
-    a = Fraction(a)
-    out = Fraction(1)
-    for j in range(n):
-        out *= a + j
-    return out
+            raise ValueError(f"multivariate gamma pole: argument {arg} at row {i + 1}")
+        gq, gh = gamma_exact(arg)
+        q *= gq
+        h += gh
+    # every argument is in Z/2, so for m >= 2 beta is an integer and so is
+    # m(m-1) beta/2
+    return q, h + int(m * (m - 1) * half)
 
 
 def gen_pochhammer_exact(a, kappa: Partition, beta) -> Fraction:
@@ -191,45 +93,12 @@ def gen_pochhammer_exact(a, kappa: Partition, beta) -> Fraction:
     return Fraction(out, d ** sum(kappa))
 
 
-def gen_pochhammer(a, kappa: Partition, beta) -> SignedLogValue:
-    """Generalized Pochhammer symbol as a signed-log value.
-
-    Exact zero detection relies on exact inputs (int or Fraction); float
-    arguments are accepted but compared against zero directly.
-    """
-    kappa = normalize(kappa)
-    if isinstance(a, (int, Fraction)) and isinstance(beta, (int, Fraction)):
-        return SignedLogValue.from_fraction(gen_pochhammer_exact(a, kappa, beta))
-    a = float(a)
-    beta_f = float(beta)
-    out = SignedLogValue.one()
-    for i, part in enumerate(kappa, start=1):
-        base = a - (i - 1) * beta_f / 2
-        for j in range(part):
-            f = base + j
-            if f == 0:
-                return SignedLogValue.zero()
-            out = out * SignedLogValue.from_float(f)
-    return out
-
-
-def pi_exponent(which: str, beta, n: int) -> Fraction:
-    """Exponent of pi in the normalizing constants, by case on beta.
-
-    which = "r" is the exponent in the main constant; "r1" and "r2" are the
-    exponents attached to the two auxiliary integrals it is assembled from.
-    """
+def pi_exponent(beta, n: int) -> Fraction:
+    """Exponent of pi in the main normalizing constant, by case on beta."""
     beta = Fraction(beta)
     if beta not in (Fraction(1), Fraction(2), Fraction(4)):
         raise ValueError("pi exponents are tabulated for beta in {1, 2, 4}")
-    real = beta == 1
-    if which == "r":
-        return Fraction(n) * beta / 2 if real else Fraction(n - 1) * beta / 2
-    if which == "r1":
-        return Fraction(0) if real else -Fraction(n) * beta / 2
-    if which == "r2":
-        return Fraction(0) if real else -Fraction(n - 1) * beta / 2
-    raise ValueError(f"unknown exponent name {which!r}")
+    return Fraction(n) * beta / 2 if beta == 1 else Fraction(n - 1) * beta / 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,43 @@ comes from the closed forms of `special` one partition at a time, and the
 Pieri coefficients are the cell-by-cell product, not the telescoped one of
 `special.pieri_coefficients`: the point is an independent derivation, not
 speed.
+
+`trace_power_product` is the same Pieri walk on one C_tau, and
+`rising_factorial` the scalar's Pochhammer symbol, both over Fractions.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from jackratio.partitions import conjugate, normalize, partitions_of
-from jackratio.special import gen_pochhammer_exact, jack_at_identity, rising_factorial
+from jackratio.special import gen_pochhammer_exact, jack_at_identity, pieri_coefficients
+
+
+def rising_factorial(a, n):
+    """Exact rising factorial a (a+1) ... (a+n-1)."""
+    a = Fraction(a)
+    out = Fraction(1)
+    for j in range(n):
+        out *= a + j
+    return out
+
+
+def trace_power_product(k, tau, beta, m):
+    """(x_1 + ... + x_m)^k C_tau as {delta: coefficient of C_delta}.
+
+    The weight-k Jack polynomials sum to p_1^k, so the coefficient of C_delta
+    is the sum over every kappa of weight k of its coefficient in
+    C_kappa C_tau.  It is k applications of `special.pieri_coefficients`.
+    """
+    beta = Fraction(beta)
+    out = {normalize(tau): Fraction(1)}
+    for _ in range(k):
+        step = {}
+        for lam, c in out.items():
+            for mu, g in pieri_coefficients(lam, beta, m).items():
+                step[mu] = step.get(mu, Fraction(0)) + c * g
+        out = step
+    return out
 
 
 def cellwise_pieri_coefficients(lam, beta, m):

@@ -5,13 +5,28 @@ operator there (the second sum through pairwise divided differences, which
 keep every intermediate a polynomial) and rewrites the image in the E basis.
 It shares no step with `jackratio.esym.laplace_beltrami_row`, which works on
 the E basis directly, so the tests compare the two entry for entry.
+
+`apply_operator` goes the other way: it applies the rows of
+`laplace_beltrami_row` to an E-basis polynomial by linearity, for the
+eigenfunction checks on Jack expansions.
 """
 
 from fractions import Fraction
 from typing import Dict
 
-from jackratio.esym import MonoPoly, expand_e_term
-from jackratio.partitions import Partition, normalize
+from jackratio.esym import EPolynomial, MonoPoly, expand_e_term, laplace_beltrami_row
+from jackratio.partitions import Partition, normalize, weight
+
+
+def apply_operator(f: EPolynomial, beta) -> EPolynomial:
+    """The operator applied to an E-basis polynomial, row by row."""
+    out: Dict[Partition, Fraction] = {}
+    for kappa, c in f.terms.items():
+        if weight(kappa) == 0:
+            continue  # constants are annihilated
+        for target, b in laplace_beltrami_row(kappa, beta, f.m).entries:
+            out[target] = out.get(target, Fraction(0)) + c * b
+    return EPolynomial(out, f.m)
 
 
 def _divide_by_linear_difference(g: MonoPoly, i: int, j: int, m: int) -> MonoPoly:

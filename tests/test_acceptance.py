@@ -24,12 +24,12 @@ from conftest import record
 from jackratio.cli import main
 from jackratio.dist import (DistParams, auto_converged_params, get_table,
                             get_general_table, TruncationWarning)
-from jackratio.esym import (EPolynomial, apply_operator,
-                            eigenvalue_closed_form, laplace_beltrami_row)
+from jackratio.esym import EPolynomial, eigenvalue_closed_form, laplace_beltrami_row
 from jackratio.jack import e_to_jack, jack_expansion, jack_product
 from jackratio.mc import (McConfig, empirical_moments, empirical_quantile,
                           ks_distance, sample_extreme_ratio)
 from jackratio.partitions import partitions_of
+from operator_oracle import apply_operator
 
 SEED = 20240601
 

@@ -1,7 +1,9 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from collections.abc import Mapping
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +12,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import jackratio.dist as dist_mod
-from backward_build import backward_coeffs, delta_functional
+from backward_build import backward_coeffs, delta_functional, rising_factorial
 from jackratio import esym, jack
-from jackratio.dist import (DistParams, SeriesTable, TruncationError,
+from jackratio.dist import (DistParams, LeadingConstant, SeriesTable, TruncationError,
                             TruncationWarning, auto_converged_params,
                             cdf_truncated, get_general_table, get_table,
                             leading_constant, moment, pdf, pdf_general_beta1,
                             quantile, summary_stats, _spec_for)
 from jackratio.jack import jack_expansion, jack_product
 from jackratio.partitions import partitions_of
-from jackratio.special import SignedLogValue, gen_pochhammer_exact, rising_factorial
+from jackratio.special import gen_pochhammer_exact
 
 
 def quiet_table(params):
@@ -81,10 +83,72 @@ def test_mass_is_one_at_converged_truncation():
 
 
 def test_leading_constant_positive():
-    for m, n, beta in [(10, 3, 1), (10, 3, 2), (10, 3, 4), (5, 2, 1), (7, 4, 2)]:
+    for m, n, beta in [(10, 3, 1), (10, 3, 2), (10, 3, 4), (5, 2, 1), (7, 4, 2), (11, 3, 1)]:
         c = leading_constant(DistParams(m=m, n=n, beta=beta))
+        assert c.q > 0 and c.c > 0
         assert c.sign == 1
         assert math.isfinite(c.log_abs)
+
+
+def test_constant_log_abs_beyond_float_range():
+    # sign and log|q c| of a q far beyond float range, as the benchmark reads them
+    const = LeadingConstant(Fraction(10 ** 400, 3), 0.5)
+    assert const.sign == 1
+    assert const.log_abs == pytest.approx(400 * math.log(10) - math.log(6), rel=1e-13)
+    assert LeadingConstant(Fraction(-7, 2), 1.0).sign == -1
+    assert LeadingConstant(Fraction(7, 2), -1.0).sign == -1
+    assert LeadingConstant(Fraction(1, 10 ** 400), 1.0).log_abs == pytest.approx(-400 * math.log(10))
+
+
+def lgamma_log_constant(m, n, beta):
+    """The terms whose sum is log of a series table's constant, by lgamma,
+    as the package computed it before the constant was exact:
+
+        log Gamma_{n-1}(n b/2 + 1) + log Gamma_{n-1}((n-2) b/2 + 1) + r log pi
+        - log Gamma_{n-1}((n-1) b + 2) - (m n b/2) log n - log Gamma(n b/2)
+        - log Gamma_n(m b/2) + log Gamma(m n b/2)
+    """
+    b = Fraction(beta)
+
+    def log_mvgamma(k, c):
+        return [k * (k - 1) * beta / 4 * math.log(math.pi)] + [
+            math.lgamma(float(c - Fraction(i - 1) * b / 2)) for i in range(1, k + 1)]
+
+    r = n * b / 2 if beta == 1 else (n - 1) * b / 2
+    f = Fraction(m * n) * b / 2
+    plus = (log_mvgamma(n - 1, n * b / 2 + 1) + log_mvgamma(n - 1, (n - 2) * b / 2 + 1)
+            + [float(r) * math.log(math.pi), math.lgamma(float(f))])
+    minus = (log_mvgamma(n - 1, (n - 1) * b + 2) + [float(f) * math.log(n), math.lgamma(n * beta / 2)]
+             + log_mvgamma(n, m * b / 2))
+    return plus + [-t for t in minus]
+
+
+CONSTANT_GRID = [(m, n, beta) for beta in (1, 2, 4) for n in range(2, 6)
+                 for m in range(n + 1, 146)] + [(7, 7, 1)]
+
+
+def test_table_constants_are_exact():
+    # q c with no power of pi; c = 1.0 where m n beta is even, else 1/sqrt(n)
+    # correctly rounded.  The lgamma oracle carries about an ulp of each of
+    # its terms, which reach thousands at beta = 4, n = 5 (its error there is
+    # up to 1.9e-12), so it is held to 1e-13 or to that rounding if larger
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for m, n, beta in CONSTANT_GRID:
+            q, h, f = dist_mod._series_constant(m, n, beta)
+            assert h == 0, (m, n, beta)
+            const = dist_mod._leading(q, h, f, n)
+            if m * n * beta % 2:
+                assert const.c == float(1 / Decimal(n).sqrt()), (m, n, beta)
+            else:
+                assert const.c == 1.0, (m, n, beta)
+            terms = lgamma_log_constant(m, n, beta)
+            oracle = Decimal(sum(terms)).exp()
+            exact = Decimal(const.q.numerator) / Decimal(const.q.denominator) * Decimal(const.c)
+            tol = max(1e-13, 2 * sys.float_info.epsilon * sum(map(abs, terms)))
+            assert abs(float(oracle / exact - 1)) <= tol, (m, n, beta)
+    table = get_general_table(7, 7, 1, t_max=1)
+    assert table.const == dist_mod._leading(*dist_mod._series_constant(7, 7, 1), 7)
 
 
 def test_cdf_boundaries_and_monotone_grid():
@@ -300,6 +364,36 @@ def test_auto_converged_params():
     stats = table.summary_stats()
     assert 0 < stats["mean"] < 1
     assert stats["variance"] > 0
+
+
+def exact_central_moments(table):
+    """Mean, variance, mu3 and mu4 as Fractions, from the collapsed
+    coefficients and the constant q c at the exact value of the float c."""
+    const = table.const.q * Fraction(table.const.c)
+    m1, m2, m3, m4 = (const * sum((c * Fraction(table.rho + j, table.rho + j + h)
+                                   for j, c in enumerate(table.collapsed())), Fraction(0))
+                      for h in (1, 2, 3, 4))
+    return (m1, m2 - m1 ** 2, m3 - 3 * m1 * m2 + 2 * m1 ** 3,
+            m4 - 4 * m1 * m3 + 6 * m1 ** 2 * m2 - 3 * m1 ** 4)
+
+
+@pytest.mark.parametrize("m", range(5, 146, 20))
+def test_summary_stats_are_correctly_rounded(m):
+    # the table's own constant (c = 1), then the same q with c = 1/sqrt(3)
+    ref = get_table(auto_converged_params(m, 2, 1, moments=4))
+    assert ref.const.c == 1.0
+    for const in (ref.const, dist_mod._leading(ref.const.q, 0, Fraction(1, 2), 3)):
+        table = SeriesTable(ref.spec, const)
+        mean, var, mu3, mu4 = exact_central_moments(table)
+        stats = table.summary_stats()
+        assert stats["mean"] == float(mean)
+        assert stats["variance"] == float(var)
+        assert stats["kurtosis"] == float(mu4 / var ** 2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            skewness = float(Decimal(mu3.numerator) / Decimal(mu3.denominator)
+                             / (Decimal(var.numerator) / Decimal(var.denominator)) ** Decimal(1.5))
+        assert abs(stats["skewness"] - skewness) <= math.ulp(skewness)
 
 
 def test_auto_converged_params_rejects_empty_start():
@@ -519,9 +613,8 @@ def fraction_horner(table, x, derivative):
 
 def rounded(value, const):
     """value * const with value a Fraction: the correctly rounded float of
-    value * 2^E times c, for const split as c * 2^E."""
-    c, E = dist_mod._split_constant(const)
-    return float(value * Fraction(2) ** E) * c
+    value * q times c, for const = q c."""
+    return float(value * const.q) * const.c
 
 
 def fraction_moment(table, h):
@@ -541,6 +634,8 @@ EXACT_TABLES = [
     DistParams(m=11, n=4, beta=1, K=12), DistParams(m=10, n=3, beta=4, K=10),
     # half-integer shape: the inner series does not terminate
     DistParams(m=10, n=2, beta=1, K=10, t_max=6),
+    # m n beta odd: the constant is q / sqrt(3), so c is not 1
+    DistParams(m=9, n=3, beta=1, K=10, t_max=6),
 ]
 
 
@@ -555,7 +650,10 @@ def test_integer_horner_matches_fraction_horner(params):
     for derivative in (False, True):
         for x in points:
             want = fraction_horner(table, x, derivative)
-            assert table._eval_exact(x, derivative) == rounded(want, table.const), (x, derivative)
+            got = table._eval_exact(x, derivative)
+            assert got == rounded(want, table.const), (x, derivative)
+            if table.const.c == 1.0:  # one rounding in all
+                assert got == float(want * table.const.q), (x, derivative)
 
 
 @pytest.mark.parametrize("params", EXACT_TABLES)
@@ -563,6 +661,9 @@ def test_integer_moment_sums_match_fraction_sums(params):
     table = quiet_table(params)
     for h in range(5):
         assert table._moment_with_monitor(h) == fraction_moment(table, h), h
+        if table.const.c == 1.0:
+            total, den, _ = table._moment_sums(h)
+            assert table._moment_with_monitor(h)[0] == float(Fraction(total, den) * table.const.q), h
     mass, rel_last = fraction_moment(table, 0)
     assert table.diagnostics["mass"] == mass
     assert table.diagnostics["last_increment_rel"] == rel_last
@@ -575,6 +676,9 @@ def shifted(nums):
     return [n << dist_mod._GUARD for n in nums]
 
 
+ONE = LeadingConstant(Fraction(1), 1.0)
+
+
 def test_fixed_point_horner_survives_heavy_cancellation(monkeypatch):
     # sum_j (-1)^j C(200, j) x^j = (1 - x)^200: terms near 2^196, a value of 2^-2000
     nums = [(-1) ** j * math.comb(200, j) for j in range(201)]
@@ -583,36 +687,36 @@ def test_fixed_point_horner_survives_heavy_cancellation(monkeypatch):
     monkeypatch.setattr(dist_mod, "_fixed_horner", lambda *a: calls.append(a) or horner(*a))
     x = 1 - Fraction(1, 2 ** 10)
     want = (1 - x) ** 200
-    for den, split in ((1, (1.0, 0)), (3, (1.0, 2000)), (7, (-1.25, 2003))):
+    for den, const in ((1, ONE), (3, LeadingConstant(Fraction(2) ** 2000, 1.0)),
+                       (7, LeadingConstant(Fraction(2) ** 2003, -1.25))):
         calls.clear()
-        got = dist_mod._exact_value(shifted(nums), den, x, 0, split)
-        assert got == float(want * Fraction(2) ** split[1] / den) * split[0]
+        got = dist_mod._exact_value(shifted(nums), den, x, 0, const)
+        assert got == float(want * const.q / den) * const.c
         assert len(calls) > 1  # 64 guard bits cannot show it; G grew
-    assert dist_mod._exact_value(shifted(nums), 1, Fraction(1), 0, (1.0, 0)) == 0.0  # exact zero
-    assert dist_mod._exact_value(shifted(nums), 1, Fraction(1), 3, (1.0, 0)) == 0.0
+    assert dist_mod._exact_value(shifted(nums), 1, Fraction(1), 0, ONE) == 0.0  # exact zero
+    assert dist_mod._exact_value(shifted(nums), 1, Fraction(1), 3, ONE) == 0.0
 
 
 @pytest.mark.parametrize("log_abs", [800.0, -800.0])
 def test_exact_value_with_a_constant_beyond_float_range(log_abs):
-    # const = e^(+-800) is beyond float range, the product is not: 2^E shifts
-    # onto the side of the ratio where it stays an integer
-    const = SignedLogValue(1, log_abs)
-    split = dist_mod._split_constant(const)
-    shift = round(-log_abs / math.log(2))
+    # const = 2^(+-1154)/3, about e^(+-800)/3, is beyond float range, the
+    # product is not
+    E = round(log_abs / math.log(2))
+    const = LeadingConstant(Fraction(2) ** E / 3, 1.0)
     rng = np.random.default_rng(5)
-    nums = [int(v) << max(shift, 0) for v in rng.integers(-10 ** 6, 10 ** 6, 30)]
-    den = 3 << max(-shift, 0)
+    nums = [int(v) << max(-E, 0) for v in rng.integers(-10 ** 6, 10 ** 6, 30)]
+    den = 3 << max(E, 0)
     for x in [Fraction(float(v)) for v in rng.uniform(0, 1, 20)]:
         want = sum(n * x ** j for j, n in enumerate(nums)) * x ** 2 / den
-        got = dist_mod._exact_value(shifted(nums), den, x, 2, split)
+        got = dist_mod._exact_value(shifted(nums), den, x, 2, const)
         assert got == rounded(want, const)
         assert 1e-12 < abs(got) < 1e12
     if log_abs < 0:
         return
     # a table's fallback with that constant (its mass would overflow, so the
     # constant is swapped in after the build), at x small enough for the range
-    table = SeriesTable(_spec_for(DistParams(m=10, n=3, beta=1, K=10)), SignedLogValue(1, 0.0))
-    table.const, table._split = const, split
+    table = SeriesTable(_spec_for(DistParams(m=10, n=3, beta=1, K=10)), ONE)
+    table.const = const
     for x in (2.0 ** -230, 1.5 * 2.0 ** -231, 2.0 ** -228):
         for derivative in (False, True):
             want = fraction_horner(table, Fraction(x), derivative)
@@ -625,14 +729,13 @@ def test_float_terms_are_dropped_when_they_could_overflow():
     # the float path needs every coefficient and the sum of their sizes in
     # float range; without it every point takes the exact fallback
     spec = _spec_for(DistParams(m=10, n=3, beta=1, K=10))
-    table = SeriesTable(spec, SignedLogValue(1, 0.0))
+    table = SeriesTable(spec, ONE)
     sizes = [abs(float(c)) for c in table.collapsed()]
     # the largest coefficient at 1e308 keeps each one finite, not their sum
     assert sum(sizes) / max(sizes) > 1.8  # 1e308 * 1.8 is beyond float range
-    for log_abs in (800.0, math.log(1e308 / max(sizes))):
-        table = SeriesTable(spec, SignedLogValue(1, 0.0))
-        table.const, table._split = (SignedLogValue(1, log_abs),
-                                     dist_mod._split_constant(SignedLogValue(1, log_abs)))
+    for q in (Fraction(2) ** 1154 / 3, Fraction(1e308 / max(sizes))):
+        table = SeriesTable(spec, ONE)
+        table.const = LeadingConstant(q, 1.0)
         assert table._polynomial(False)[1] is None
         x = 2.0 ** -230
         with warnings.catch_warnings():
@@ -656,7 +759,8 @@ def test_fixed_point_horner_bound_and_rounding(nums, e, data, power, guard, den,
         want = float(exact * Fraction(2) ** E / den)
     except OverflowError:
         return
-    assert dist_mod._exact_value(shifted(nums), den, x, power, (1.0, E)) == want
+    assert dist_mod._exact_value(shifted(nums), den, x, power,
+                                 LeadingConstant(Fraction(2) ** E, 1.0)) == want
 
 
 def test_exact_value_decides_a_rounding_the_truncation_crossed():
@@ -675,13 +779,13 @@ def test_exact_value_decides_a_rounding_the_truncation_crossed():
         exact = sum(n * x ** j for j, n in enumerate(nums))
         s = dist_mod._fixed_horner(shifted(nums), p, e, 0)
         crossed += float(Fraction(s, 2 ** dist_mod._GUARD)) != float(exact)
-        assert dist_mod._exact_value(shifted(nums), 1, x, 0, (1.0, 0)) == float(exact)
+        assert dist_mod._exact_value(shifted(nums), 1, x, 0, ONE) == float(exact)
     assert crossed > 100
 
 
 def test_exact_value_needs_a_dyadic_point():
     with pytest.raises(ValueError, match="dyadic"):
-        dist_mod._exact_value(shifted([1, 2]), 1, Fraction(1, 3), 0, (1.0, 0))
+        dist_mod._exact_value(shifted([1, 2]), 1, Fraction(1, 3), 0, ONE)
 
 
 class NoCells(Mapping):

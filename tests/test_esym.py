@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from appendix_recurrences import appendix_moves, appendix_row
-from jackratio.esym import (EPolynomial, apply_operator, eigenvalue_closed_form,
+from jackratio.esym import (EPolynomial, eigenvalue_closed_form,
                             elementary_values, expand_e_term, laplace_beltrami_row)
-from operator_oracle import oracle_row
+from operator_oracle import apply_operator, oracle_row
 from jackratio.partitions import partitions_of, weight
 
 

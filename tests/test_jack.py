@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from jackratio.esym import EPolynomial, apply_operator, eigenvalue_closed_form
+from backward_build import trace_power_product
+from jackratio.esym import EPolynomial, eigenvalue_closed_form
 from jackratio.jack import (clear_caches, e_to_jack, jack_at_identity,
                             jack_expansion, jack_product,
-                            jack_product_with_trace_power,
                             leading_elementary_coeff, load_expansion_cache,
                             save_expansion_cache)
 from jackratio.partitions import partitions_of
+from operator_oracle import apply_operator
 
 BETAS = (Fraction(1), Fraction(2), Fraction(4), Fraction(1, 2), Fraction(3, 7))
 
@@ -119,7 +120,7 @@ def test_product_mass_identity():
 def test_trace_power_product_matches_per_partition_sum():
     for k, tau, beta, m in [(3, (2, 1), Fraction(1), 2), (4, (2,), Fraction(2), 2),
                             (2, (1, 1), Fraction(1), 3), (0, (2, 1), Fraction(4), 2)]:
-        fast = jack_product_with_trace_power(k, tau, beta, m)
+        fast = trace_power_product(k, tau, beta, m)
         slow = {}
         for kappa in partitions_of(k, m):
             for delta, g in jack_product(kappa, tau, beta, m).terms:

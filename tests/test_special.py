@@ -2,76 +2,68 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from backward_build import cellwise_pieri_coefficients
+from backward_build import cellwise_pieri_coefficients, rising_factorial
 from jackratio.jack import jack_product
 from jackratio.partitions import partitions_of
-from jackratio.special import (SignedLogValue, gen_pochhammer,
-                               gen_pochhammer_exact, jack_at_identity,
-                               log_fraction, log_multivariate_gamma,
-                               pi_exponent, pieri_coefficients,
-                               rising_factorial)
-
-finite = st.floats(min_value=-1e6, max_value=1e6,
-                   allow_nan=False, allow_infinity=False)
+from jackratio.special import (gamma_exact, gen_pochhammer_exact,
+                               jack_at_identity, multivariate_gamma,
+                               pi_exponent, pieri_coefficients)
 
 
-@given(finite, finite)
-def test_slv_multiplication_matches_floats(a, b):
-    got = (SignedLogValue.from_float(a) * SignedLogValue.from_float(b)).to_float()
-    assert got == pytest.approx(a * b, rel=1e-12, abs=1e-300)
+def value(q, h):
+    """q pi^(h/2) as a float."""
+    return float(q) * math.pi ** (h / 2)
 
 
-@given(finite, finite)
-def test_slv_addition_matches_floats(a, b):
-    got = (SignedLogValue.from_float(a) + SignedLogValue.from_float(b)).to_float()
-    # addition in log space loses relative accuracy only under cancellation
-    assert got == pytest.approx(a + b, rel=1e-9, abs=1e-9 * (abs(a) + abs(b)) + 1e-300)
+def test_gamma_exact_matches_math_gamma():
+    for k in range(1, 60):
+        for z in (Fraction(k), Fraction(2 * k - 1, 2)):
+            q, h = gamma_exact(z)
+            assert h == (0 if z.denominator == 1 else 1)
+            assert value(q, h) == pytest.approx(math.gamma(z), rel=1e-13), z
+    assert gamma_exact(Fraction(1, 2)) == (1, 1)  # sqrt(pi)
+    assert gamma_exact(Fraction(7, 2)) == (Fraction(15, 8), 1)
+    assert gamma_exact(6) == (120, 0)
 
 
-def test_slv_exact_cancellation():
-    x = SignedLogValue.from_float(3.25)
-    assert (x + (-x)).is_zero()
-    assert (x + (-x)).to_float() == 0.0
-
-
-def test_slv_division_and_zero():
-    x = SignedLogValue.from_float(-12.0)
-    y = SignedLogValue.from_float(3.0)
-    assert (x / y).to_float() == pytest.approx(-4.0, rel=1e-14)
-    assert (SignedLogValue.zero() * x).is_zero()
-    assert (SignedLogValue.zero() + x).to_float() == pytest.approx(-12.0)
-    with pytest.raises(ZeroDivisionError):
-        x / SignedLogValue.zero()
-
-
-def test_log_fraction_huge_values():
-    fr = Fraction(10 ** 400, 3)
-    slv = log_fraction(fr)
-    assert slv.sign == 1
-    assert slv.log_abs == pytest.approx(400 * math.log(10) - math.log(3), rel=1e-13)
-    assert log_fraction(Fraction(0)).is_zero()
-    assert log_fraction(Fraction(-7, 2)).sign == -1
+def test_gamma_exact_poles_and_other_arguments():
+    for pole in (0, -1, Fraction(-3)):
+        with pytest.raises(ValueError, match="pole"):
+            gamma_exact(pole)
+    for z in (Fraction(1, 3), Fraction(-1, 2), Fraction(5, 4)):
+        with pytest.raises(ValueError, match="half-integer"):
+            gamma_exact(z)
 
 
 def test_multivariate_gamma_reduces_to_gamma():
     for c in (Fraction(1), Fraction(5, 2), Fraction(7)):
-        got = log_multivariate_gamma(1, 1, c)
-        assert got.log_abs == pytest.approx(math.lgamma(float(c)), abs=1e-12)
+        assert multivariate_gamma(1, 1, c) == gamma_exact(c)
 
 
 def test_multivariate_gamma_frozen_pi_values():
     # two-variable values that collapse to exactly pi
-    assert log_multivariate_gamma(1, 2, Fraction(1)).to_float() == pytest.approx(math.pi, rel=1e-12)
-    assert log_multivariate_gamma(2, 2, Fraction(2)).to_float() == pytest.approx(math.pi, rel=1e-12)
+    assert multivariate_gamma(1, 2, Fraction(1)) == (1, 2)
+    assert multivariate_gamma(2, 2, Fraction(2)) == (1, 2)
+
+
+def test_multivariate_gamma_matches_math_gamma():
+    for beta in (1, 2, 4):
+        for m in range(1, 6):
+            for c in (Fraction(m * beta, 2) + 1, Fraction(m * beta, 2) + Fraction(3, 2),
+                      Fraction((m + 7) * beta, 2)):
+                want = math.pi ** (m * (m - 1) * beta / 4) * math.prod(
+                    math.gamma(c - Fraction((i - 1) * beta, 2)) for i in range(1, m + 1))
+                assert value(*multivariate_gamma(beta, m, c)) == pytest.approx(want, rel=1e-12)
 
 
 def test_multivariate_gamma_pole_detection():
+    with pytest.raises(ValueError, match="pole"):
+        multivariate_gamma(1, 2, Fraction(1, 2))  # second factor hits Gamma(0)
+    with pytest.raises(ValueError, match="pole"):
+        multivariate_gamma(2, 3, Fraction(0))
     with pytest.raises(ValueError):
-        log_multivariate_gamma(1, 2, Fraction(1, 2))  # second factor hits Gamma(0)
-    with pytest.raises(ValueError):
-        log_multivariate_gamma(2, 3, Fraction(0))
+        multivariate_gamma(1, 0, Fraction(1))
 
 
 def test_rising_factorial():
@@ -109,25 +101,12 @@ def test_gen_pochhammer_exact_matches_factor_by_factor_product():
                 assert gen_pochhammer_exact(a, tau, beta) == naive
 
 
-def test_gen_pochhammer_log_matches_exact():
-    for a in (Fraction(5, 2), Fraction(-3), Fraction(4)):
-        for tau in ((2, 1), (3,), (1, 1, 1)):
-            for beta in (1, 2, Fraction(1, 2)):
-                exact = gen_pochhammer_exact(a, tau, beta)
-                slv = gen_pochhammer(a, tau, beta)
-                assert slv.to_float() == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
-
-
 def test_pi_exponent_values():
-    assert pi_exponent("r", 1, 3) == Fraction(3, 2)
-    assert pi_exponent("r", 2, 3) == 2
-    assert pi_exponent("r", 4, 3) == 4
-    assert pi_exponent("r1", 1, 3) == 0
-    assert pi_exponent("r1", 2, 3) == -3
+    assert pi_exponent(1, 3) == Fraction(3, 2)
+    assert pi_exponent(2, 3) == 2
+    assert pi_exponent(4, 3) == 4
     with pytest.raises(ValueError):
-        pi_exponent("r", 3, 3)
-    with pytest.raises(ValueError):
-        pi_exponent("bogus", 1, 3)
+        pi_exponent(3, 3)
 
 
 # -- Jack closed forms ---------------------------------------------------------
