@@ -25,7 +25,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m", type=int, default=10)
     ap.add_argument("--n", type=int, default=3)
-    ap.add_argument("--beta", type=int, choices=(1, 2), default=1)
+    ap.add_argument("--beta", type=int, choices=(1, 2, 4), default=1)
     ap.add_argument("--reps", type=int, default=10**6)
     ap.add_argument("--ks-reps", type=int, default=10**5)
     ap.add_argument("--seed", type=int, default=20240601)

@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("sim", help="Monte Carlo sampling of the spectral statistic")
     sim.add_argument("--m", type=int, required=True)
     sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--beta", type=int, choices=(1, 2), default=1)
+    sim.add_argument("--beta", type=int, choices=(1, 2, 4), default=1)
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--statistic", choices=("ratio", "one-minus-ratio"),

@@ -1,15 +1,24 @@
 """Monte Carlo sampling of the extreme-eigenvalue ratio of singular Wishart matrices.
 
-Draws X of shape m x n with independent standard Gaussian entries (real for
-beta = 1, circular complex for beta = 2) and forms the n nonzero eigenvalues
-of W = X X* from the n x n Gram matrix X* X, which has the same nonzero
-spectrum and is much smaller.  The emitted statistic is l_min/l_max or
-1 - l_min/l_max per configuration.
+The n nonzero eigenvalues of W = X X*, for an m x n Gaussian matrix X with
+real (beta = 1), complex (beta = 2) or quaternion (beta = 4) entries, have
+the law of the eigenvalues of B B^T, where B is an n x n upper bidiagonal
+matrix with independent entries: chi_{beta(m-i)} on the diagonal and
+chi_{beta(n-1-i)} on the superdiagonal, i = 0, 1, ...  (Dumitriu and
+Edelman, J. Math. Phys. 43, 2002; it is what Householder bidiagonalization
+of X leaves).  So each sample costs 2n - 1 chi-square variates, d_i for the
+squared diagonal and e_i for the squared superdiagonal, and the symmetric
+tridiagonal T = B B^T has T_ii = d_i + e_i (e_{n-1} = 0) and
+T_{i+1,i} = sqrt(e_i d_{i+1}).  The variates fix no one normalization of the
+entries of X; the emitted statistic, l_min/l_max or 1 - l_min/l_max, is
+scale-free.
 
 Reproducibility: replications are generated in fixed-size chunks, each from
-its own child of numpy's SeedSequence tree.  The stream layout depends only
-on the seed, so the first R' samples of a run with R > R' replications are
-bit-for-bit identical to a run with R' replications and the same seed.
+its own child of numpy's SeedSequence tree, with one chi-square call per
+chunk that draws each sample's 2n - 1 variates consecutively.  The stream
+layout depends only on the seed, so the first R' samples of a run with
+R > R' replications are bit-for-bit identical to a run with R' replications
+and the same seed.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ class McConfig:
     replications: int = 1
     seed: int = 0
     statistic: str = "one_minus_ratio"
-    scale: float = 1.0  # multiplies X; the ratio statistic must not care
 
     def __post_init__(self):
         for name in ("m", "n", "beta", "replications"):
@@ -43,36 +51,37 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (self.m > self.n >= 2):
             raise ValueError("need m > n >= 2")
-        if self.beta not in (1, 2):
-            raise ValueError("sampling supports beta = 1 (real) and beta = 2 (complex)")
+        if self.beta not in (1, 2, 4):
+            raise ValueError("sampling supports beta = 1 (real), 2 (complex) "
+                             "and 4 (quaternion)")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.statistic not in ("ratio", "one_minus_ratio"):
             raise ValueError("statistic must be 'ratio' or 'one_minus_ratio'")
-        if not (self.scale > 0):
-            raise ValueError("scale must be positive")
 
 
-def _draw(rng: np.random.Generator, count: int, cfg: McConfig) -> np.ndarray:
-    if cfg.beta == 1:
-        X = rng.standard_normal((count, cfg.m, cfg.n))
-    else:
-        X = (rng.standard_normal((count, cfg.m, cfg.n)) +
-             1j * rng.standard_normal((count, cfg.m, cfg.n))) / math.sqrt(2)
-    if cfg.scale != 1.0:
-        X = X * cfg.scale
-    return X
+def _degrees_of_freedom(cfg: McConfig) -> np.ndarray:
+    """beta(m - i) for the squared diagonal, then beta(n - 1 - i) for the superdiagonal."""
+    i = np.arange(cfg.n)
+    return cfg.beta * np.concatenate([cfg.m - i, cfg.n - 1 - i[:-1]]).astype(float)
 
 
-def _ratios(X: np.ndarray) -> np.ndarray:
-    gram = np.conj(np.transpose(X, (0, 2, 1))) @ X
-    eigs = np.linalg.eigvalsh(gram)
+def _ratios(v: np.ndarray, n: int) -> np.ndarray:
+    """l_min/l_max of B B^T for each row (d_0..d_{n-1}, e_0..e_{n-2}) of v."""
+    d, e = v[:, :n], v[:, n:]
+    T = np.zeros((len(v), n * n))  # row-major: T_ij sits in column i*n + j
+    T[:, ::n + 1] = d
+    T[:, :-1:n + 1] += e
+    # the subdiagonal T_{i+1,i}; eigvalsh reads the lower triangle only
+    T[:, n::n + 1] = np.sqrt(e * d[:, 1:])
+    eigs = np.linalg.eigvalsh(T.reshape(-1, n, n))
     return eigs[:, 0] / eigs[:, -1]
 
 
 def sample_extreme_ratio(cfg: McConfig) -> np.ndarray:
     """R samples of the configured spectral statistic, deterministically seeded."""
     R = cfg.replications
+    df = _degrees_of_freedom(cfg)
     n_chunks = (R + CHUNK - 1) // CHUNK
     children = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     out = np.empty(R, dtype=float)
@@ -81,20 +90,20 @@ def sample_extreme_ratio(cfg: McConfig) -> np.ndarray:
     for child in children:
         rng = np.random.default_rng(child)
         count = min(CHUNK, R - pos)
-        X = _draw(rng, count, cfg)
+        v = rng.chisquare(df, size=(count, df.size))
         try:
-            r = _ratios(X)
+            r = _ratios(v, cfg.n)
         except np.linalg.LinAlgError:
             # solve one by one so a single bad draw does not poison the chunk
             r = np.empty(count)
             for i in range(count):
                 while True:
                     try:
-                        r[i] = _ratios(X[i:i + 1])[0]
+                        r[i] = _ratios(v[i:i + 1], cfg.n)[0]
                         break
                     except np.linalg.LinAlgError:
                         failures += 1
-                        X[i] = _draw(rng, 1, cfg)[0]
+                        v[i] = rng.chisquare(df)
         out[pos:pos + count] = r
         pos += count
     if failures > 1e-4 * R:

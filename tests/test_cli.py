@@ -194,6 +194,18 @@ def test_sim_dump(capsys, tmp_path):
     assert np.all((samples > 0) & (samples < 1))
 
 
+def test_sim_quaternion_matches_library(capsys, tmp_path):
+    from jackratio.mc import McConfig, sample_extreme_ratio
+    target = tmp_path / "samples.npy"
+    code, out, _ = run(capsys, "sim", "--m", "6", "--n", "3", "--beta", "4",
+                       "--reps", "500", "--seed", "9", "--alpha", "0.5",
+                       "--dump", str(target))
+    assert code == 0
+    assert json.loads(out)["params"]["beta"] == 4
+    want = sample_extreme_ratio(McConfig(m=6, n=3, beta=4, replications=500, seed=9))
+    assert np.array_equal(np.load(target), want)
+
+
 def test_sim_requires_alpha_or_moments(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--m", "6", "--n", "3", "--reps", "10"])

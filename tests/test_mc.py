@@ -1,21 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
+from gaussian_sampler import gaussian_ratios, two_sample_ks
+from jackratio import mc
+from jackratio.dist import auto_converged_params, get_table
 from jackratio.mc import (McConfig, empirical_moments, empirical_quantile,
                           ks_distance, sample_extreme_ratio)
+
+# Kolmogorov distribution: P(sqrt(N) D > c) = 0.001 for c = sqrt(-ln(0.0005)/2)
+KS_CRIT_0_001 = math.sqrt(-math.log(0.0005) / 2)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(m=3, n=3)
     with pytest.raises(ValueError):
-        McConfig(m=10, n=3, beta=4)  # no quaternion sampler
+        McConfig(m=10, n=3, beta=3)
     with pytest.raises(ValueError):
         McConfig(m=10, n=3, replications=0)
     with pytest.raises(ValueError):
         McConfig(m=10, n=3, statistic="median")
-    with pytest.raises(ValueError):
-        McConfig(m=10, n=3, scale=0.0)
     for bad in (dict(m=10.0), dict(n=3.0), dict(replications=2.5), dict(replications=True),
                 dict(beta=True), dict(beta=2.0)):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -23,13 +29,16 @@ def test_config_validation():
 
 
 def test_determinism_and_prefix_property():
-    a = sample_extreme_ratio(McConfig(m=6, n=3, replications=1000, seed=7))
-    b = sample_extreme_ratio(McConfig(m=6, n=3, replications=1000, seed=7))
-    c = sample_extreme_ratio(McConfig(m=6, n=3, replications=3000, seed=7))
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, c[:1000])
-    d = sample_extreme_ratio(McConfig(m=6, n=3, replications=1000, seed=8))
-    assert not np.array_equal(a, d)
+    for beta in (1, 2, 4):
+        def run(reps, seed=7):
+            return sample_extreme_ratio(McConfig(m=6, n=3, beta=beta,
+                                                 replications=reps, seed=seed))
+        a, b, c = run(1000), run(1000), run(3000)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c[:1000])
+        assert not np.array_equal(a, run(1000, seed=8))
+        # a partial second chunk against a longer one (CHUNK = 65536)
+        assert np.array_equal(run(70_000), run(150_000)[:70_000])
 
 
 def test_statistics_complement():
@@ -38,13 +47,6 @@ def test_statistics_complement():
     x = sample_extreme_ratio(McConfig(statistic="one_minus_ratio", **kw))
     assert np.allclose(r + x, 1.0, atol=1e-15)
     assert np.all((r > 0) & (r <= 1))
-
-
-def test_scale_invariance():
-    base = sample_extreme_ratio(McConfig(m=8, n=3, replications=400, seed=3))
-    scaled = sample_extreme_ratio(McConfig(m=8, n=3, replications=400, seed=3,
-                                           scale=3.7))
-    assert np.max(np.abs(base - scaled)) <= 1e-10
 
 
 def test_gram_matches_full_spectrum():
@@ -56,6 +58,55 @@ def test_gram_matches_full_spectrum():
         small = np.linalg.eigvalsh(X.T @ X)
         assert np.allclose(big[-3:], small, rtol=1e-10)
         assert np.allclose(big[:4], 0, atol=1e-10)
+
+
+def _flaky_eigvalsh(monkeypatch, fail_single):
+    """eigvalsh that fails on every batch and on the fail_single-th one-sample call."""
+    real = np.linalg.eigvalsh
+    singles = [0]
+
+    def flaky(a, *args, **kwargs):
+        if len(a) > 1:
+            raise np.linalg.LinAlgError("batch")
+        singles[0] += 1
+        if singles[0] == fail_single:
+            raise np.linalg.LinAlgError("single")
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(mc.np.linalg, "eigvalsh", flaky)
+
+
+def test_eigensolver_failures_resample_one_by_one(monkeypatch):
+    cfg = McConfig(m=6, n=3, beta=2, replications=300, seed=13)
+    clean = sample_extreme_ratio(cfg)
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            _flaky_eigvalsh(patch, fail_single=5)
+            with pytest.warns(UserWarning, match="1 replications resampled"):
+                runs.append(sample_extreme_ratio(cfg))
+    x = runs[0]
+    assert x.shape == (300,)
+    assert np.all((x >= 0) & (x <= 1))
+    assert np.array_equal(runs[0], runs[1])
+    # only the sample whose solve failed was drawn again
+    assert np.flatnonzero(x != clean).tolist() == [4]
+
+
+def test_bidiagonal_matches_gaussian_sampler():
+    N = 50_000
+    for m, n, beta in ((6, 3, 1), (6, 3, 2), (25, 2, 2)):
+        new = sample_extreme_ratio(McConfig(m=m, n=n, beta=beta, replications=N,
+                                            seed=31, statistic="ratio"))
+        old = gaussian_ratios(m, n, beta, N, seed=32)
+        assert two_sample_ks(new, old) < KS_CRIT_0_001 * math.sqrt(2 / N), (m, n, beta)
+
+
+def test_quaternion_samples_match_series():
+    N = 50_000
+    for m, n in ((6, 2), (10, 2), (8, 3)):
+        table = get_table(auto_converged_params(m, n, 4))
+        x = sample_extreme_ratio(McConfig(m=m, n=n, beta=4, replications=N, seed=41))
+        assert ks_distance(x, table.cdf_many) < KS_CRIT_0_001 / math.sqrt(N), (m, n)
 
 
 def test_complex_draws_have_unit_variance_entries():
