@@ -53,6 +53,16 @@ def _parse_beta_rational(text: str) -> Fraction:
     return b
 
 
+def _parse_digits(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad digit count {text!r}")
+    if digits < 0:
+        raise argparse.ArgumentTypeError("digits must be nonnegative")
+    return digits
+
+
 def _parse_float_list(text: str) -> List[float]:
     try:
         return [float(p) for p in text.split(",") if p.strip()]
@@ -229,7 +239,7 @@ def _params_block(params: DistParams) -> Dict:
 def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--output", default=None, help="write here instead of stdout")
-    p.add_argument("--digits", type=int, default=6,
+    p.add_argument("--digits", type=_parse_digits, default=6,
                    help="decimal digits for numeric output (default 6)")
 
 

@@ -13,6 +13,14 @@ T_{i+1,i} = sqrt(e_i d_{i+1}).  The variates fix no one normalization of the
 entries of X; the emitted statistic, l_min/l_max or 1 - l_min/l_max, is
 scale-free.
 
+For n = 2 the ratio has a closed form and T is never built.  With
+g = d_0 + e_0 - d_1, 2 l_max = s = d_0 + e_0 + d_1 + sqrt(g^2 + 4 e_0 d_1),
+and det T = det(B)^2 = d_0 d_1 gives l_min = det T / l_max, so
+l_min/l_max = 4 d_0 d_1 / s^2.  Every sum in it has nonnegative terms, so
+nothing cancels and the ratio is accurate to a few ulps relative even where
+l_min is tiny; a dense solver is off by O(eps l_max) absolutely there.  For
+n >= 3 the extreme eigenvalues come from batched `numpy.linalg.eigvalsh`.
+
 Reproducibility: replications are generated in fixed-size chunks, each from
 its own child of numpy's SeedSequence tree, with one chi-square call per
 chunk that draws each sample's 2n - 1 variates consecutively.  The stream
@@ -44,11 +52,14 @@ class McConfig:
     statistic: str = "one_minus_ratio"
 
     def __post_init__(self):
-        for name in ("m", "n", "beta", "replications"):
+        for name in ("m", "n", "beta", "replications", "seed"):
             value = getattr(self, name)
-            # bools are ints to Python, but True is no sample size
+            # bools are ints to Python, but True is no sample size; a seed of
+            # None would draw OS entropy and make the run unrepeatable
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (self.m > self.n >= 2):
             raise ValueError("need m > n >= 2")
         if self.beta not in (1, 2, 4):
@@ -68,6 +79,13 @@ def _degrees_of_freedom(cfg: McConfig) -> np.ndarray:
 
 def _ratios(v: np.ndarray, n: int) -> np.ndarray:
     """l_min/l_max of B B^T for each row (d_0..d_{n-1}, e_0..e_{n-2}) of v."""
+    if n == 2:
+        d0, d1, e0 = v[:, 0], v[:, 1], v[:, 2]
+        g = d0 + e0 - d1
+        s = d0 + e0 + d1 + np.sqrt(g * g + 4.0 * e0 * d1)  # s = 2 l_max
+        r = 4.0 * d0 * d1 / (s * s)  # l_min = det T / l_max, det T = d0 d1
+        # rounding can leave r an ulp above 1 where d0 ~ d1 and e0 ~ 0
+        return np.minimum(r, 1.0, out=r)
     d, e = v[:, :n], v[:, n:]
     T = np.zeros((len(v), n * n))  # row-major: T_ij sits in column i*n + j
     T[:, ::n + 1] = d
@@ -118,11 +136,11 @@ def empirical_quantile(samples: Sequence[float], alpha: float) -> float:
     """Nearest-rank order statistic: the ceil(alpha*N)-th smallest sample."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must lie in (0, 1)")
-    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = np.asarray(samples, dtype=float)
     if xs.size == 0:
         raise ValueError("no samples")
     idx = max(math.ceil(alpha * xs.size) - 1, 0)
-    return float(xs[idx])
+    return float(np.partition(xs, idx)[idx])
 
 
 def empirical_moments(samples: Sequence[float]) -> Dict[str, float]:

@@ -30,6 +30,7 @@ from jackratio.mc import (McConfig, empirical_moments, empirical_quantile,
                           ks_distance, sample_extreme_ratio)
 from jackratio.partitions import partitions_of
 from operator_oracle import apply_operator
+import quadrature_oracle
 
 SEED = 20240601
 
@@ -253,6 +254,44 @@ def test_moment_table_disputed_entries_match_simulation(table2_rows):
     ok = all(checks)
     record("4", "disputed cells match an independent simulation", ok)
     assert ok
+
+
+def test_moment_table_disputed_entries_match_quadrature():
+    # the deterministic version of the check above: Gauss-Legendre on the
+    # n = 2 density reaches about 1e-14 on these moments (twice the nodes
+    # move them by less), and the series' moments are correctly rounded from
+    # exact sums, so 1e-12 relative leaves room for neither side to be wrong;
+    # the five-digit values are the quadrature's, which the paper's 2.68,
+    # 0.349 and 2.70 miss
+    five_digits = {125: {"skewness": 0.33710, "kurtosis": 2.69284},
+                   145: {"skewness": 0.35653, "kurtosis": 2.72028}}
+    misses = []
+    for m, want in five_digits.items():
+        series = get_table(auto_converged_params(m, 2, 1, moments=4)).summary_stats()
+        oracle = quadrature_oracle.summary_stats(m, 1)
+        for key, value in series.items():
+            if abs(value - oracle[key]) > 1e-12 * abs(oracle[key]):
+                misses.append(f"m={m} {key}: {value!r} vs {oracle[key]!r}")
+        for key, value in want.items():
+            if abs(oracle[key] - value) > 5e-6:
+                misses.append(f"m={m} {key}: quadrature {oracle[key]:.6f} vs {value}")
+    record("4", "all four moments at m=125, 145 match quadrature within 1e-12",
+           not misses, "; ".join(misses))
+    assert not misses, misses
+
+
+def test_cdf_matches_quadrature_n2():
+    # x <= 0.7 keeps the check off the saturated tail, where the series'
+    # truncation (its monitor allows 1e-10 of the mass; at (25,2,2) K=80
+    # misses 5.6e-12) and not the evaluation sets the difference
+    misses = []
+    for m, beta in ((25, 1), (25, 2)):
+        table = get_table(auto_converged_params(m, 2, beta))
+        for x in (0.1, 0.3, 0.5, 0.7):
+            got, want = table.cdf(x), quadrature_oracle.cdf(m, beta, x)
+            if abs(got - want) > 1e-12 * want:
+                misses.append(f"({m},2,{beta}) x={x}: {got!r} vs {want!r}")
+    assert not misses, misses
 
 
 # -- criterion 5: Monte Carlo concordance ----------------------------------------

@@ -292,6 +292,16 @@ def test_digits_formatting(capsys):
     assert rows[0]["F_25_inv"] == "0.39"
 
 
+def test_negative_digits_is_a_usage_error(capsys):
+    # round(v, -3) printed 0.0 in JSON; the csv format spec failed outright
+    for fmt in ("json", "csv"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "--m", "5", "--n", "2", "--reps", "10", "--alpha", "0.5",
+                  "--digits", "-3", "--format", fmt])
+        assert exc.value.code == 2
+        assert "digits must be nonnegative" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,15 +24,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(m=10, n=3, statistic="median")
     for bad in (dict(m=10.0), dict(n=3.0), dict(replications=2.5), dict(replications=True),
-                dict(beta=True), dict(beta=2.0)):
+                dict(beta=True), dict(beta=2.0), dict(seed=1.5), dict(seed="3"),
+                dict(seed=None), dict(seed=True)):
         with pytest.raises(ValueError, match="must be an integer"):
             McConfig(**{"m": 10, "n": 3, **bad})
+    with pytest.raises(ValueError, match="nonnegative"):
+        McConfig(m=10, n=3, seed=-1)
 
 
 def test_determinism_and_prefix_property():
-    for beta in (1, 2, 4):
+    # n = 2 takes the closed form, n = 3 the eigensolver
+    for n, beta in itertools.product((2, 3), (1, 2, 4)):
         def run(reps, seed=7):
-            return sample_extreme_ratio(McConfig(m=6, n=3, beta=beta,
+            return sample_extreme_ratio(McConfig(m=6, n=n, beta=beta,
                                                  replications=reps, seed=seed))
         a, b, c = run(1000), run(1000), run(3000)
         assert np.array_equal(a, b)
@@ -39,6 +44,50 @@ def test_determinism_and_prefix_property():
         assert not np.array_equal(a, run(1000, seed=8))
         # a partial second chunk against a longer one (CHUNK = 65536)
         assert np.array_equal(run(70_000), run(150_000)[:70_000])
+
+
+def _eigvalsh_ratios(v):
+    """l_min/l_max of the 2 x 2 T = B B^T by the dense solver, for rows (d0, d1, e0)."""
+    d0, d1, e0 = v.T
+    T = np.empty((len(v), 2, 2))
+    T[:, 0, 0], T[:, 1, 1] = d0 + e0, d1
+    T[:, 0, 1] = T[:, 1, 0] = np.sqrt(e0 * d1)
+    eigs = np.linalg.eigvalsh(T)
+    return eigs[:, 0] / eigs[:, 1]
+
+
+def test_closed_form_matches_eigensolver_n2():
+    # eigvalsh is backward stable: each eigenvalue is off by O(eps l_max),
+    # so its ratio is off by O(eps) absolutely however small l_min is; the
+    # closed form is a sum of nonnegative terms and is off by a few eps
+    # relatively.  8 eps bounds their difference (measured: up to 3 eps).
+    for m, beta in ((3, 1), (25, 1), (25, 2), (6, 4)):
+        cfg = McConfig(m=m, n=2, beta=beta)
+        v = np.random.default_rng(m * beta).chisquare(
+            mc._degrees_of_freedom(cfg), size=(100_000, 3))
+        diff = np.abs(mc._ratios(v, 2) - _eigvalsh_ratios(v))
+        assert diff.max() <= 8 * np.finfo(float).eps, (m, beta, diff.max())
+
+
+def test_closed_form_hand_rows():
+    rows = np.array([
+        [2.0, 5.0, 0.0],  # e0 = 0: T is diagonal
+        [5.0, 2.0, 0.0],
+        [3.0, 3.0, 0.0],  # and with d0 = d1 both eigenvalues are 3
+        # neighbouring doubles with e0 = 0: the unclamped quotient is 1 + eps
+        [19.312270052999637, 19.31227005299964, 0.0],
+        [2.0, 5.0, 5e-324],  # subnormal e0
+        [2.0, 1e-300, 3.0],  # tiny d1: l_min = det/l_max = 2e-300/5
+    ])
+    r = mc._ratios(rows, 2)
+    assert np.all((r >= 0) & (r <= 1))
+    assert r[0] == r[1] == 0.4
+    assert r[2] == 1.0
+    assert r[3] == pytest.approx(rows[3, 0] / rows[3, 1], abs=np.finfo(float).eps)
+    assert r[4] == 0.4
+    # T = [[5, sqrt(3e-300)], [sqrt(3e-300), 1e-300]]: l_max = 5 to double
+    # precision; eigvalsh would lose l_min = 4e-301 below its eps * 5 error
+    assert r[5] == pytest.approx(4e-301 / 5, rel=1e-15)
 
 
 def test_statistics_complement():
@@ -122,6 +171,13 @@ def test_nearest_rank_quantile():
     assert empirical_quantile(xs, 0.21) == 2.0
     assert empirical_quantile(xs, 1e-9) == 1.0
     assert empirical_quantile(xs, 0.999) == 5.0
+    # the selected order statistic is the sorted sample's, ties included,
+    # and the caller's array is left as it was
+    ys = np.random.default_rng(3).standard_normal(1001).round(1)
+    before = ys.copy()
+    for alpha in (1e-6, 0.01, 0.05, 0.5, 0.9, 0.95, 0.999):
+        assert empirical_quantile(ys, alpha) == np.sort(before)[math.ceil(alpha * 1001) - 1]
+    assert np.array_equal(ys, before)
     with pytest.raises(ValueError):
         empirical_quantile(xs, 0.0)
     with pytest.raises(ValueError):
