@@ -45,15 +45,9 @@ from .dist import (
     TruncationError,
     TruncationWarning,
     auto_converged_params,
-    cdf_truncated,
     get_general_table,
     get_table,
     leading_constant,
-    moment,
-    pdf,
-    pdf_general_beta1,
-    quantile,
-    summary_stats,
 )
 
 __version__ = "0.1.0"

@@ -134,13 +134,7 @@ def _dist_params(args) -> DistParams:
 
 
 def _truncation(table) -> Dict:
-    d = table.diagnostics
-    return {
-        "K": int(d["K"]),
-        "t_max": int(d["t_max"]),
-        "last_increment_rel": d["last_increment_rel"],
-        "mass": d["mass"],
-    }
+    return dict(table.diagnostics)
 
 
 # -- subcommand handlers ------------------------------------------------------

@@ -18,7 +18,8 @@ denominator per weight, memoized for every table that needs that weight;
 each c[k,t] is the one Fraction its cell makes.  No c[k,t] depends on K,
 so one build per (m, n, beta, t_max) is extended in place and the table at
 K is its k <= K prefix: a convergence search that doubles K pays for one
-build to its final K.
+build to its final K.  That build is the only per-shape cache: it holds the
+series' ingredients, its exact leading constant and its tables by K.
 
 Everything inside the double series is an exact rational, and so is
 almost all of the one leading constant: for beta in {1, 2, 4} its gamma
@@ -71,9 +72,9 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -169,7 +170,7 @@ def _resolve_t_max(m: int, n: int, beta: int, t_max: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class _SeriesSpec:
-    """Raw ingredients of one truncated series."""
+    """Raw ingredients of one series, its inner sum cut at t_max."""
     nvars: int
     beta: Fraction
     a_tau: Fraction
@@ -178,11 +179,10 @@ class _SeriesSpec:
     rho: int
     gamma_arg: Fraction
     base: int
-    K: int
     t_max: int
 
 
-def _spec(m: int, n: int, beta: int, K: int, t_max: Optional[int]) -> _SeriesSpec:
+def _spec(m: int, n: int, beta: int, t_max: int) -> _SeriesSpec:
     """The series of an m x n matrix; m = n is allowed here (real case only)."""
     b = Fraction(beta)
     return _SeriesSpec(
@@ -194,13 +194,8 @@ def _spec(m: int, n: int, beta: int, K: int, t_max: Optional[int]) -> _SeriesSpe
         rho=int(Fraction((n - 1) * (n * beta + 2), 2)),
         gamma_arg=Fraction(m * n) * b / 2,
         base=n,
-        K=K,
-        t_max=_resolve_t_max(m, n, beta, t_max),
+        t_max=t_max,
     )
-
-
-def _spec_for(params: DistParams) -> _SeriesSpec:
-    return _spec(params.m, params.n, params.beta, params.resolved_K, params.t_max)
 
 
 @dataclass(frozen=True)
@@ -244,11 +239,10 @@ def _constant(m: int, n: int, beta: int) -> Tuple[Fraction, int, Fraction]:
     return q, int(h), Fraction(m * n) * b / 2
 
 
-@lru_cache(maxsize=None)
 def _series_constant(m: int, n: int, beta: int) -> Tuple[Fraction, int, Fraction]:
     """(q, h, f) of the constant of a series table: `_constant` times
-    Gamma(m n beta/2), which cancels its power of pi (h = 0).  Kept per
-    shape, because a convergence search builds a table for every K."""
+    Gamma(m n beta/2), which cancels its power of pi (h = 0).  Each
+    `_ForwardBuild` computes it once for all its tables."""
     q, h, f = _constant(m, n, beta)
     gq, gh = gamma_exact(f)
     return q * gq, h + gh, f
@@ -482,7 +476,8 @@ _DELTA_FUNCTIONAL: Dict[tuple, _DeltaFunctional] = {}
 
 
 class _ForwardBuild:
-    """The c[k,t] of one series for k = 0, 1, ..., extended on demand.
+    """The c[k,t] of the series of one (m, n, beta, t_max) for k = 0, 1, ...,
+    extended on demand.
 
         u_{0,t}   = sum_{|tau|=t} [a_tau]_tau C_tau
         u_{k+1,t} = p_1 u_{k,t}                      (one Pieri step)
@@ -491,12 +486,16 @@ class _ForwardBuild:
     with scalar_k = (gamma_arg)_k / (base^k k!) and L_0 from
     `_DeltaFunctional`.  Each u_{k,t} is a dict of integer numerators over
     one denominator, and each cell makes one Fraction.  No c[k,t] depends on
-    K, so the table at K is the k <= K prefix of `rows`.
+    K, so the table at K is the k <= K prefix of `rows`.  The build also
+    owns the leading constant of its tables and, in `tables`, the tables
+    that `get_table` has handed out, by K.
     """
 
-    def __init__(self, spec: _SeriesSpec):
-        self.spec = spec
-        self.rows: List[List[Tuple[int, Fraction]]] = []  # rows[k]: (t, c[k,t]), c != 0
+    def __init__(self, m: int, n: int, beta: int, t_max: int):
+        self.spec = spec = _spec(m, n, beta, t_max)
+        self.const = _leading(*_series_constant(m, n, beta), n)
+        self.tables: Dict[int, SeriesTable] = {}
+        self.rows: List[Dict[int, Fraction]] = []  # rows[k]: {t: c[k,t]}, c != 0
         self._scalar = Fraction(1)
         self._moves = _PIERI_MOVES.setdefault((spec.beta, spec.nvars), {})
         self._ell = _DELTA_FUNCTIONAL.setdefault(
@@ -521,12 +520,12 @@ class _ForwardBuild:
                                  for t, u, den in self._vectors]
                 self._scalar *= (s.gamma_arg + k - 1) / (s.base * k)
             sn, sd = self._scalar.numerator, self._scalar.denominator
-            row = []
+            row = {}
             for t, u, den in self._vectors:
                 ell, ell_den = self._ell.at(k + t)
                 inner = sum(ell[delta] * v for delta, v in u.items())
                 if inner:
-                    row.append((t, Fraction(inner * sn, den * ell_den * sd * factorial(t))))
+                    row[t] = Fraction(inner * sn, den * ell_den * sd * factorial(t))
             self.rows.append(row)
 
     def _moves_out_of(self, weight: int):
@@ -535,61 +534,71 @@ class _ForwardBuild:
         return self._moves[weight]
 
 
+class _Cells(Mapping):
+    """{(k, t): c[k,t]} over the rows of a build, zeros left out: a read-only
+    view, so a table keeps no copy of its cells."""
+
+    def __init__(self, rows: List[Dict[int, Fraction]]):
+        self._rows = rows
+
+    def __getitem__(self, key):
+        k, t = key
+        if 0 <= k < len(self._rows) and t in self._rows[k]:
+            return self._rows[k][t]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((k, t) for k, row in enumerate(self._rows) for t in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows))
+
+
 class SeriesTable:
     """Exact coefficients of one truncated series plus its scaling constant.
 
     The cumulative distribution is   const * sum_{k,t} c[k,t] * x^(rho+k+t),
     the density is the term-by-term derivative, and the h-th moment is
-    const * sum c[k,t] * (rho+k+t)/(rho+k+t+h).  All c[k,t] are Fractions.
-    Past c[k,t], every term depends on k+t only, so after the build one pass
-    collapses the cells by power j = k+t into integer numerators over one
-    common denominator and keeps the numerators of row K for the monitor;
-    `collapsed`, the polynomials and the moments read only those.
+    const * sum c[k,t] * (rho+k+t)/(rho+k+t+h).  All c[k,t] are Fractions:
+    the rows k <= K of `build`, extended to K first if it is shorter, which
+    `coeffs` shows as {(k, t): c[k,t]}.  Past c[k,t], every term depends on
+    k+t only, so one pass collapses the cells by power j = k+t into integer
+    numerators over one common denominator and keeps the numerators of row
+    K for the monitor; `collapsed`, the polynomials and the moments read
+    only those.
     """
 
-    def __init__(self, spec: _SeriesSpec, const: LeadingConstant):
-        self.spec = spec
-        self.const = const
-        self.rho = spec.rho
-        self.coeffs: Dict[Tuple[int, int], Fraction] = {}
-        self._build()
+    def __init__(self, build: _ForwardBuild, K: int):
+        self.build = build
+        self.K = K
+        self.const = build.const
+        self.rho = build.spec.rho
+        build.extend(K)
+        rows = build.rows[:K + 1]
+        self.coeffs = _Cells(rows)
         # one integer pass over the cells: the common denominator D of every
         # c[k,t], the numerators N_j = D * sum_{k+t=j} c[k,t] of x^(rho+j), and
         # the (t, c[K,t] * D) of row K; every exact pass reads these alone
-        K = spec.K
-        d = self._denominator = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        self._nums = [0] * (K + spec.t_max + 1)
+        d = self._denominator = math.lcm(*(c.denominator for row in rows for c in row.values()))
+        self._nums = [0] * (K + build.spec.t_max + 1)
         self._last_row: List[Tuple[int, int]] = []
-        for (k, t), c in self.coeffs.items():
-            v = c.numerator * (d // c.denominator)
-            self._nums[k + t] += v
-            if k == K:
-                self._last_row.append((t, v))
+        for k, row in enumerate(rows):
+            for t, c in row.items():
+                v = c.numerator * (d // c.denominator)
+                self._nums[k + t] += v
+                if k == K:
+                    self._last_row.append((t, v))
         self._collapsed: Optional[List[Fraction]] = None
         self._polys: Dict[bool, tuple] = {}
         self._warned = False
         self._moments: Dict[int, Tuple[int, int, float]] = {}
         mass, rel_last = self._moment_with_monitor(0)
         self.diagnostics = {
-            "K": float(spec.K),
-            "t_max": float(spec.t_max),
-            "last_increment_rel": rel_last if spec.K else float("inf"),
+            "K": K,
+            "t_max": build.spec.t_max,
+            "last_increment_rel": rel_last if K else float("inf"),
             "mass": mass,
         }
-
-    # -- assembly -----------------------------------------------------------
-
-    def _build(self) -> None:
-        """c[k,t] for k <= K: the k <= K prefix of the one forward build of
-        this (m, n, beta, t_max), extended to K first if it is shorter."""
-        key = replace(self.spec, K=0)
-        build = _BUILDS.get(key)
-        if build is None:
-            build = _BUILDS[key] = _ForwardBuild(key)
-        build.extend(self.spec.K)
-        for k, row in enumerate(build.rows[:self.spec.K + 1]):
-            for t, c in row:
-                self.coeffs[(k, t)] = c
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -601,7 +610,7 @@ class SeriesTable:
         if not self.converged and not self._warned:
             self._warned = True
             warnings.warn(
-                f"series truncation K={self.spec.K} shows relative last increment "
+                f"series truncation K={self.K} shows relative last increment "
                 f"{self.diagnostics['last_increment_rel']:.2e}; results may be off",
                 TruncationWarning, stacklevel=3)
 
@@ -717,7 +726,7 @@ class SeriesTable:
             lcm = math.lcm(*(r.denominator for r in ratios))
             weights = [r.numerator * (lcm // r.denominator) for r in ratios]
             total = sum(n * w for n, w in zip(self._nums, weights))
-            increment = sum(v * weights[self.spec.K + t] for t, v in self._last_row)
+            increment = sum(v * weights[self.K + t] for t, v in self._last_row)
             self._moments[h] = (total, self._denominator * lcm,
                                 abs(increment / total) if total else float("inf"))
         return self._moments[h]
@@ -773,7 +782,7 @@ class SeriesTable:
             total, den, rel_last = self._moment_sums(h)
             if rel_last >= MONITOR_TOLERANCE:
                 raise TruncationError(
-                    f"moment {h} unconverged at K={self.spec.K}: last increment "
+                    f"moment {h} unconverged at K={self.K}: last increment "
                     f"{rel_last:.2e} of the total; increase K")
             sums.append((total, den))
         c_num, c_den = self.const.c.as_integer_ratio()
@@ -795,17 +804,18 @@ class SeriesTable:
         }
 
 
-_TABLE_CACHE: Dict[_SeriesSpec, SeriesTable] = {}
-# one forward build per series without K (that is, per (m, n, beta, t_max))
-_BUILDS: Dict[_SeriesSpec, _ForwardBuild] = {}
+# the one forward build of each (m, n, beta, t_max), which owns its tables
+_BUILDS: Dict[Tuple[int, int, int, int], _ForwardBuild] = {}
 
 
 def _table(m: int, n: int, beta: int, K: int, t_max: Optional[int]) -> SeriesTable:
-    spec = _spec(m, n, beta, K, t_max)
-    table = _TABLE_CACHE.get(spec)
+    key = (m, n, beta, _resolve_t_max(m, n, beta, t_max))
+    build = _BUILDS.get(key)
+    if build is None:
+        build = _BUILDS[key] = _ForwardBuild(*key)
+    table = build.tables.get(K)
     if table is None:
-        const = _leading(*_series_constant(m, n, beta), n)
-        table = _TABLE_CACHE[spec] = SeriesTable(spec, const)
+        table = build.tables[K] = SeriesTable(build, K)
     return table
 
 
@@ -819,39 +829,6 @@ def get_general_table(n1: int, n2: int, K: int, t_max: Optional[int] = None) -> 
     if not (2 <= n1 <= n2):
         raise ValueError("need 2 <= n1 <= n2")
     return _table(n2, n1, 1, K, t_max)
-
-
-# -- convenience wrappers ----------------------------------------------------
-
-def cdf_truncated(params: DistParams, x: float) -> float:
-    """P(X <= x) under the truncated series."""
-    return get_table(params).cdf(x)
-
-
-def pdf(params: DistParams, x: float) -> float:
-    """Density of the statistic at x."""
-    return get_table(params).pdf(x)
-
-
-def moment(params: DistParams, h: int) -> float:
-    """E[X^h] under the truncated series (h = 0 gives the total mass)."""
-    return get_table(params).moment(h)
-
-
-def quantile(params: DistParams, alpha: float) -> float:
-    """Inverse cdf by bisection, verified monotone along the bracketing path."""
-    return get_table(params).quantile(alpha)
-
-
-def summary_stats(params: DistParams) -> Dict[str, float]:
-    """Mean/variance/skewness/kurtosis; raises TruncationError when K is too small."""
-    return get_table(params).summary_stats()
-
-
-def pdf_general_beta1(n1: int, n2: int, K: int, x: float,
-                      t_max: Optional[int] = None) -> float:
-    """Density in the real case for any shape, including the square one."""
-    return get_general_table(n1, n2, K, t_max).pdf(x)
 
 
 def auto_converged_params(m: int, n: int, beta: int = 1, start_K: Optional[int] = None,

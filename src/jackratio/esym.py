@@ -152,18 +152,6 @@ class EPolynomial:
         weights = {weight(k) for k in self.terms}
         return len(weights) <= 1
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(weight(k) for k in self.terms)
-
-    def leading(self) -> Partition:
-        """Lex-greatest index among the stored terms (within the top weight)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        top = self.degree()
-        return max(k for k in self.terms if weight(k) == top)
-
     def evaluate(self, xs):
         """Evaluation at a point; exact when the coordinates are exact."""
         es = elementary_values(xs, self.m)

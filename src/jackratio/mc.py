@@ -128,7 +128,7 @@ def sample_extreme_ratio(cfg: McConfig) -> np.ndarray:
         warnings.warn(f"{failures} replications resampled after eigensolver "
                       f"failures (more than 0.01% of {R})")
     if cfg.statistic == "one_minus_ratio":
-        out = 1.0 - out
+        np.subtract(1.0, out, out=out)
     return out
 
 

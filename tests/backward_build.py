@@ -89,10 +89,10 @@ def delta_functional(delta, spec):
             gen_pochhammer_exact(spec.a_den, delta, spec.beta))
 
 
-def backward_coeffs(spec):
-    """{(k, t): c[k,t]} for k <= spec.K and t <= spec.t_max, zeros left out."""
+def backward_coeffs(spec, K):
+    """{(k, t): c[k,t]} for k <= K and t <= spec.t_max, zeros left out."""
     s = spec
-    top = s.K + s.t_max
+    top = K + s.t_max
     by_weight = [partitions_of(w, s.nvars) for w in range(top + 1)]
     level = {delta: delta_functional(delta, s) for parts in by_weight for delta in parts}
     moves = {lam: cellwise_pieri_coefficients(lam, s.beta, s.nvars)
@@ -101,7 +101,7 @@ def backward_coeffs(spec):
                   if (v := gen_pochhammer_exact(s.a_tau, tau, s.beta))]
                  for t in range(s.t_max + 1)]
     coeffs = {}
-    for k in range(s.K + 1):
+    for k in range(K + 1):
         if k:
             level = {lam: sum((c * level[mu] for mu, c in moves[lam].items()), Fraction(0))
                      for parts in by_weight[:top - k + 1] for lam in parts}

@@ -16,9 +16,7 @@ from backward_build import backward_coeffs, delta_functional, rising_factorial
 from jackratio import esym, jack
 from jackratio.dist import (DistParams, LeadingConstant, SeriesTable, TruncationError,
                             TruncationWarning, auto_converged_params,
-                            cdf_truncated, get_general_table, get_table,
-                            leading_constant, moment, pdf, pdf_general_beta1,
-                            quantile, summary_stats, _spec_for)
+                            get_general_table, get_table, leading_constant)
 from jackratio.jack import jack_expansion, jack_product
 from jackratio.partitions import partitions_of
 from jackratio.special import gen_pochhammer_exact
@@ -28,6 +26,13 @@ def quiet_table(params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         return get_table(params)
+
+
+def drop_table(params):
+    """Forget the table that get_table keeps for params; its build stays."""
+    key = (params.m, params.n, params.beta, params.resolved_t_max)
+    if key in dist_mod._BUILDS:
+        dist_mod._BUILDS[key].tables.pop(params.resolved_K, None)
 
 
 # -- parameter validation -----------------------------------------------------
@@ -79,7 +84,7 @@ def test_fractional_p_requires_explicit_t_max():
 # -- normalization and calculus oracles ---------------------------------------
 
 def test_mass_is_one_at_converged_truncation():
-    assert abs(moment(DistParams(m=5, n=2, beta=1, K=40), 0) - 1) <= 1e-6
+    assert abs(get_table(DistParams(m=5, n=2, beta=1, K=40)).moment(0) - 1) <= 1e-6
 
 
 def test_leading_constant_positive():
@@ -148,6 +153,7 @@ def test_table_constants_are_exact():
             tol = max(1e-13, 2 * sys.float_info.epsilon * sum(map(abs, terms)))
             assert abs(float(oracle / exact - 1)) <= tol, (m, n, beta)
     table = get_general_table(7, 7, 1, t_max=1)
+    assert table.const is table.build.const
     assert table.const == dist_mod._leading(*dist_mod._series_constant(7, 7, 1), 7)
 
 
@@ -326,35 +332,35 @@ def test_float_fallback_under_cancellation():
 # -- convergence monitor --------------------------------------------------------
 
 def test_truncation_warning_fires_once_when_unconverged():
-    key = _spec_for(DistParams(m=10, n=3, beta=1, K=25))
-    dist_mod._TABLE_CACHE.pop(key, None)
+    params = DistParams(m=10, n=3, beta=1, K=25)
+    drop_table(params)
     with pytest.warns(TruncationWarning):
-        cdf_truncated(DistParams(m=10, n=3, beta=1, K=25), 0.5)
+        get_table(params).cdf(0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cdf_truncated(DistParams(m=10, n=3, beta=1, K=25), 0.6)  # no second warning
+        get_table(params).cdf(0.6)  # no second warning
 
-    dist_mod._TABLE_CACHE.pop(key, None)
+    drop_table(params)
     with pytest.warns(TruncationWarning) as record:
-        moment(DistParams(m=10, n=3, beta=1, K=25), 2)
+        get_table(params).moment(2)
     assert len(record) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        moment(DistParams(m=10, n=3, beta=1, K=25), 2)
+        get_table(params).moment(2)
 
 
 def test_no_warning_when_converged():
     params = auto_converged_params(5, 2, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cdf_truncated(params, 0.5)
+        get_table(params).cdf(0.5)
 
 
 def test_summary_stats_raise_when_unconverged():
     with pytest.raises(TruncationError):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            summary_stats(DistParams(m=25, n=2, beta=1, K=25))
+            get_table(DistParams(m=25, n=2, beta=1, K=25)).summary_stats()
 
 
 def test_auto_converged_params():
@@ -383,7 +389,8 @@ def test_summary_stats_are_correctly_rounded(m):
     ref = get_table(auto_converged_params(m, 2, 1, moments=4))
     assert ref.const.c == 1.0
     for const in (ref.const, dist_mod._leading(ref.const.q, 0, Fraction(1, 2), 3)):
-        table = SeriesTable(ref.spec, const)
+        table = SeriesTable(ref.build, ref.K)
+        table.const = const
         mean, var, mu3, mu4 = exact_central_moments(table)
         stats = table.summary_stats()
         assert stats["mean"] == float(mean)
@@ -428,17 +435,17 @@ def test_quantile_beyond_truncated_mass_raises():
 
 # -- the Pieri recurrence against explicit pair products ----------------------
 
-def pairwise_product_coeffs(params):
-    """c[k,t] assembled term by term from the E-basis products C_kappa * C_tau.
+def pairwise_product_coeffs(s, K):
+    """c[k,t] for k <= K of the series s, assembled term by term from the
+    E-basis products C_kappa * C_tau.
 
     Sums scalar_k/t! [a_tau]_tau g^delta_{kappa,tau} [a_num]_delta C_delta(I)
     / [a_den]_delta over kappa of weight k, tau of weight t and every delta,
     with g from `jack_product` and C_delta(I) from evaluating the expansion.
     """
-    s = _spec_for(params)
     ones = [Fraction(1)] * s.nvars
     cells = {}
-    for k in range(s.K + 1):
+    for k in range(K + 1):
         scalar_k = rising_factorial(s.gamma_arg, k) / (Fraction(s.base) ** k * math.factorial(k))
         for t in range(s.t_max + 1):
             for tau in partitions_of(t, s.nvars):
@@ -459,7 +466,8 @@ def test_coeffs_match_pairwise_product_oracle():
     for params in (DistParams(m=10, n=3, beta=1, K=5),
                    DistParams(m=10, n=3, beta=4, K=3),
                    DistParams(m=6, n=4, beta=2, K=3)):
-        assert quiet_table(params).coeffs == pairwise_product_coeffs(params), params
+        table = quiet_table(params)
+        assert table.coeffs == pairwise_product_coeffs(table.build.spec, table.K), params
 
 
 BACKWARD_GRID = [
@@ -475,13 +483,14 @@ BACKWARD_GRID = [
 
 @pytest.mark.parametrize("params", BACKWARD_GRID)
 def test_forward_build_matches_backward_oracle(params):
-    assert quiet_table(params).coeffs == backward_coeffs(_spec_for(params))
+    table = quiet_table(params)
+    assert table.coeffs == backward_coeffs(table.build.spec, table.K)
 
 
 def test_delta_functional_matches_closed_forms():
     # the box-by-box recurrence against the closed forms, one partition each
     for m, n, beta in ((10, 2, 1), (10, 3, 2), (10, 3, 4), (11, 4, 1), (9, 5, 2)):
-        spec = dist_mod._spec(m, n, beta, 0, 0)
+        spec = dist_mod._spec(m, n, beta, 0)
         for w in range(14):
             nums, den = dist_mod._DeltaFunctional(spec).at(w)
             want = {d: delta_functional(d, spec) for d in partitions_of(w, spec.nvars)}
@@ -490,8 +499,7 @@ def test_delta_functional_matches_closed_forms():
 
 
 def clear_build_caches():
-    for cache in (dist_mod._TABLE_CACHE, dist_mod._BUILDS,
-                  dist_mod._PIERI_MOVES, dist_mod._DELTA_FUNCTIONAL):
+    for cache in (dist_mod._BUILDS, dist_mod._PIERI_MOVES, dist_mod._DELTA_FUNCTIONAL):
         cache.clear()
 
 
@@ -537,13 +545,31 @@ def test_convergence_search_picks_the_same_K():
     assert picked == [50, 100, 100, 100, 100, 100]
 
 
+def test_one_build_owns_the_tables_of_a_search():
+    clear_build_caches()
+    params = auto_converged_params(10, 3, 1)
+    assert list(dist_mod._BUILDS) == [(10, 3, 1, 6)]  # t_max 6 by default
+    build = dist_mod._BUILDS[(10, 3, 1, 6)]
+    assert sorted(build.tables) == [25, 50, 100]
+    assert len(build.rows) == 101
+    for K, table in build.tables.items():
+        assert table.build is build and table.K == K
+        assert table.const is build.const
+        # the cells are the build's own, not a copy
+        assert all(table.coeffs[(k, t)] is c for k, row in enumerate(build.rows[:K + 1])
+                   for t, c in row.items())
+        assert len(table.coeffs) == sum(map(len, build.rows[:K + 1]))
+    assert get_table(params) is build.tables[100]
+    assert get_table(DistParams(m=10, n=3, beta=1, K=100, t_max=6)) is build.tables[100]
+
+
 def test_get_table_builds_no_expansions():
     saved = dict(jack._EXPANSION_CACHE), dict(esym._ROW_CACHE)
     jack.clear_caches()
     esym._ROW_CACHE.clear()
     try:
         params = DistParams(m=9, n=4, beta=1, K=6)
-        dist_mod._TABLE_CACHE.pop(_spec_for(params), None)
+        drop_table(params)
         assert quiet_table(params).coeffs
         assert not jack._EXPANSION_CACHE
         assert not esym._ROW_CACHE
@@ -561,14 +587,14 @@ def test_general_formula_specializes():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             a = table.pdf(x)
-            b = pdf_general_beta1(3, 10, 25, x)
+            b = get_general_table(3, 10, 25).pdf(x)
         assert b == pytest.approx(a, rel=1e-10)
 
 
 def test_general_formula_square_case_runs():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        v = pdf_general_beta1(2, 2, 10, 0.5, t_max=30)
+        v = get_general_table(2, 2, 10, t_max=30).pdf(0.5)
     assert v > 0
 
 
@@ -592,7 +618,7 @@ def test_general_formula_requires_t_max_when_nonterminating():
 
 def fraction_collapse(table):
     """The coefficient c_j of x^(rho+j): the Fraction sum of the c[k,t] with k+t = j."""
-    out = [Fraction(0)] * (table.spec.K + table.spec.t_max + 1)
+    out = [Fraction(0)] * (table.K + table.build.spec.t_max + 1)
     for (k, t), c in table.coeffs.items():
         out[k + t] += c
     return out
@@ -619,7 +645,7 @@ def rounded(value, const):
 
 def fraction_moment(table, h):
     """E[X^h] and its relative last increment from per-k Fraction sums."""
-    increments = [Fraction(0)] * (table.spec.K + 1)
+    increments = [Fraction(0)] * (table.K + 1)
     for (k, t), c in table.coeffs.items():
         e = table.rho + k + t
         increments[k] += c * Fraction(e, e + h)
@@ -715,7 +741,7 @@ def test_exact_value_with_a_constant_beyond_float_range(log_abs):
         return
     # a table's fallback with that constant (its mass would overflow, so the
     # constant is swapped in after the build), at x small enough for the range
-    table = SeriesTable(_spec_for(DistParams(m=10, n=3, beta=1, K=10)), ONE)
+    table = SeriesTable(quiet_table(DistParams(m=10, n=3, beta=1, K=10)).build, 10)
     table.const = const
     for x in (2.0 ** -230, 1.5 * 2.0 ** -231, 2.0 ** -228):
         for derivative in (False, True):
@@ -728,13 +754,13 @@ def test_exact_value_with_a_constant_beyond_float_range(log_abs):
 def test_float_terms_are_dropped_when_they_could_overflow():
     # the float path needs every coefficient and the sum of their sizes in
     # float range; without it every point takes the exact fallback
-    spec = _spec_for(DistParams(m=10, n=3, beta=1, K=10))
-    table = SeriesTable(spec, ONE)
+    build = quiet_table(DistParams(m=10, n=3, beta=1, K=10)).build
+    table = SeriesTable(build, 10)
     sizes = [abs(float(c)) for c in table.collapsed()]
     # the largest coefficient at 1e308 keeps each one finite, not their sum
     assert sum(sizes) / max(sizes) > 1.8  # 1e308 * 1.8 is beyond float range
     for q in (Fraction(2) ** 1154 / 3, Fraction(1e308 / max(sizes))):
-        table = SeriesTable(spec, ONE)
+        table = SeriesTable(build, 10)
         table.const = LeadingConstant(q, 1.0)
         assert table._polynomial(False)[1] is None
         x = 2.0 ** -230
@@ -813,6 +839,6 @@ def test_queries_read_the_collapse_not_the_cells():
                 table.cdf_many(xs).tolist())
 
     want = answers(ref)
-    table = SeriesTable(ref.spec, ref.const)
+    table = SeriesTable(ref.build, ref.K)
     table.coeffs = NoCells()
     assert answers(table) == want

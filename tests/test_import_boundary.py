@@ -16,15 +16,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PUBLIC_NAMES = (
     "DegenerateBetaError", "DistParams", "EPolynomial", "JackExpansion", "LBRow",
     "McConfig", "Partition", "SeriesTable", "TruncationError", "TruncationWarning",
-    "__version__", "auto_converged_params", "cdf_truncated", "clear_caches",
+    "__version__", "auto_converged_params", "clear_caches",
     "conjugate", "dist", "e_to_jack", "eigenvalue_closed_form", "elementary_values",
     "empirical_moments", "empirical_quantile", "esym", "gen_pochhammer_exact",
     "get_general_table", "get_table", "jack", "jack_at_identity", "jack_expansion",
     "jack_product", "ks_distance", "laplace_beltrami_row", "leading_constant",
     "leading_elementary_coeff", "load_expansion_cache", "lower_hook_product", "mc",
-    "moment", "normalize", "partitions", "partitions_of", "pdf", "pdf_general_beta1",
-    "pi_exponent", "quantile", "sample_extreme_ratio", "save_expansion_cache",
-    "special", "summary_stats", "upper_hook_product", "weight",
+    "normalize", "partitions", "partitions_of",
+    "pi_exponent", "sample_extreme_ratio", "save_expansion_cache",
+    "special", "upper_hook_product", "weight",
 )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ def test_statistics_complement():
     x = sample_extreme_ratio(McConfig(statistic="one_minus_ratio", **kw))
     assert np.allclose(r + x, 1.0, atol=1e-15)
     assert np.all((r > 0) & (r <= 1))
+
+
+def test_one_minus_ratio_is_formed_in_place():
+    # the complement overwrites the ratios: the same values as 1.0 - ratio,
+    # with no second array the size of the result at the peak
+    kw = dict(m=25, n=2, replications=10 ** 6, seed=5)
+
+    def sample(statistic):
+        tracemalloc.start()
+        try:
+            out = sample_extreme_ratio(McConfig(statistic=statistic, **kw))
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ratio, ratio_peak = sample("ratio")
+    x, x_peak = sample("one_minus_ratio")
+    assert np.array_equal(x, 1.0 - ratio)
+    assert x_peak - ratio_peak < ratio.nbytes / 4
 
 
 def test_gram_matches_full_spectrum():
