@@ -30,11 +30,22 @@ even and 1/sqrt(n), correctly rounded, where it is odd (see
 exactly and scaled by the constant at the very end.  This matters: for
 large m the tau sum is an alternating binomial-type sum whose terms exceed
 the result by 20+ orders of magnitude, far beyond what double precision
-accumulation could survive.  Evaluations use a fast float path and fall
-back to exact arithmetic at every point it cannot accept.  The float
-path's error estimate is 1e-13 * sum_j |c_j| x^(rho+j), and a value is
-accepted when that estimate is <= max(1e-12, 1e-9 |value|).  That estimate
-is a rule of thumb, not a derived rounding bound (see `_horner`).
+accumulation could survive.
+
+Evaluations run in floats under a derived error bound and fall back to
+exact arithmetic only where no float evaluation can be certified.  Centre 0
+is Horner in the monomial basis with Higham's running error bound, which
+also counts the rounding of each coefficient, of x^rho and of the exact
+reference itself (see `_horner`); a value is accepted when its bound is at
+most 1e-9 of it.  Where the coefficients cancel (near x = 1 at large m),
+Taylor centres about x = r/8, r = 1..8, take over.  Each is built on the
+first point that needs it, by one exact integer Taylor shift
+(`_taylor_shift`), its coefficients rounded once and cut where the dropped
+terms fall below one unit of its a-priori bound; y = x - r/8 is exact.  A
+point whose nearest centre exists goes straight to it (see
+`SeriesTable._bounded`), so a value can differ in its last bits, within its
+bound, with the centres earlier calls built; `cdf_many` gives bitwise the
+values `cdf` gives after it.
 
 The exact passes run over Python ints.  Each table keeps one common
 denominator D, the lcm of the denominators of its c[k,t], and works on the
@@ -76,7 +87,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .partitions import Partition, partitions_of
 from .special import (
@@ -117,15 +128,12 @@ class DistParams:
     t_max: Optional[int] = None
 
     def __post_init__(self):
-        _check_integers(m=self.m, n=self.n, beta=self.beta, K=self.K, t_max=self.t_max)
+        _check_integers(m=self.m, n=self.n, beta=self.beta)
+        _check_orders(self.K, self.t_max)
         if self.beta not in (1, 2, 4):
             raise ValueError("beta must be 1, 2 or 4")
         if not (self.m > self.n >= 2):
             raise ValueError("need m > n >= 2")
-        if self.K is not None and self.K < 0:
-            raise ValueError("K must be nonnegative")
-        if self.t_max is not None and self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
 
     @property
     def p(self) -> Fraction:
@@ -150,6 +158,14 @@ def _check_integers(**values) -> None:
         if value is not None and (isinstance(value, bool)
                                   or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_orders(K: Optional[int], t_max: Optional[int]) -> None:
+    """ValueError unless the truncation orders given are nonnegative integers."""
+    _check_integers(K=K, t_max=t_max)
+    for name, value in (("K", K), ("t_max", t_max)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
 
 def _threshold(m: int, n: int, beta: int) -> Fraction:
@@ -272,19 +288,49 @@ def leading_constant(params: DistParams) -> LeadingConstant:
     return _leading(*_constant(params.m, params.n, params.beta), params.n)
 
 
-def _horner(terms: Sequence[Tuple[float, float]], x, power: int):
-    """x^power * sum_j c_j x^j in floats, and whether that value is accepted.
+# -- float evaluation under a derived bound ---------------------------------------
 
-    terms holds the pairs (c_j, |c_j|) from the highest power down.  x is a
-    float or a numpy array; the arithmetic is the same for both.  The error
-    estimate is 1e-13 * sum_j |c_j| x^(power+j), and the value is accepted
-    when the estimate is <= max(1e-12, 1e-9 |value|).  The factor 1e-13 is
-    not derived from a rounding analysis: it ignores the length of the sum
-    and the rounding of the coefficients themselves.  For an array every
-    step updates s, a and x^power in place, so a call allocates three float
-    arrays in all; for a float the names are plain Python floats.  numpy is
-    imported in the array branch only, so scalar callers (every `dist`
-    command) never load it.
+_CENTRES = 8  # Taylor centres r/_CENTRES, r = 1.._CENTRES; a power of two
+_CENTRE_BITS = _CENTRES.bit_length() - 1
+_ACCEPT = 1e-9  # a float value is accepted when its bound is <= _ACCEPT * |value|
+_U = 2.0 ** -53  # unit roundoff of a double
+_ETA = 2.0 ** -1074  # the most an underflowing product can lose, absolutely
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u) (Higham 2002, section 3.1): a product of k
+    factors 1 + delta, |delta| <= u, is within gamma_k of 1."""
+    return k * _U / (1 - k * _U)
+
+
+def _horner(terms: Sequence[Tuple[float, float]], x, power: int, gamma: float,
+            floor: float):
+    """(value, bound, accepted): x^power * sum_j c_j x^j in floats, a bound
+    on its distance from the exact value that `_eval_exact` rounds, and
+    whether bound <= _ACCEPT |value|, for 0 <= x <= 1 and power >= 1.
+
+    terms holds the pairs (c_j, |c_j|) from the highest power down, each c_j
+    the exact a_j rounded at most twice (`_scaled_float`).  Horner over d+1
+    terms makes 2d roundings, so with A = sum_j |a_j| x^j the sum is off
+    by at most gamma_(2d+2) A (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, eq. 5.3); x^power, by power - 1 products, and the
+    product with it round power times more, and `_eval_exact` itself is
+    the exact value rounded twice.  So the value is within
+    gamma_(2d+power+4) A x^power of `_eval_exact`.  The running sum a of
+    the |c_j| and its products undershoot A x^power by at most a factor
+    (1 - u)^(2d+power+3), which one more unit, `gamma` = gamma_(2d+power+5),
+    covers while d is below about 10^7.  floor adds the most the Horner
+    steps and the last product can lose to underflow.  The x^power chain
+    can lose up to (power - 1) 2^-1075 to underflow, which the sum then
+    multiplies, so a gets power 2^-1074 a more: the bound is a (gamma
+    x^power + power 2^-1074) + floor.
+
+    x is a float or a numpy array; the arithmetic is the same for both, so
+    an array gives bitwise the values and flags a loop of floats gives.  For
+    an array s, a and x^power are updated in place, and x^power then holds
+    _ACCEPT |value|: three float arrays in all.
+    numpy is imported in the array branch only, so scalar callers (every
+    `dist` command) never load it.
     """
     if isinstance(x, float):
         s = a = 0.0
@@ -296,16 +342,95 @@ def _horner(terms: Sequence[Tuple[float, float]], x, power: int):
         s += c
         a *= x
         a += abs_c
-    xp = x ** power
-    s *= xp  # the value
-    a *= 1e-13
-    a *= xp  # the error estimate
-    if isinstance(x, float):
-        bound = 1e-9 * abs(s)
+    xp = x * x if power > 1 else x * 1.0  # a copy of an array x
+    for _ in range(power - 2):
+        xp *= x
+    s *= xp
+    xp *= gamma
+    xp += power * _ETA
+    a *= xp
+    a += floor
+    if isinstance(s, float):
+        return s, a, a <= _ACCEPT * abs(s)
+    tol = np.abs(s, out=xp)
+    tol *= _ACCEPT
+    return s, a, a <= tol
+
+
+def _horner_value(coeffs: Sequence[float], y):
+    """sum_k b_k y^k by Horner, the b_k from the highest power down; the same
+    arithmetic for a float and a numpy array."""
+    if isinstance(y, float):
+        s = 0.0
     else:
-        bound = np.abs(s, out=xp)
-        bound *= 1e-9
-    return s, (a <= 1e-12) | (a <= bound)
+        import numpy as np
+        s = np.zeros_like(y)
+    for c in coeffs:
+        s *= y
+        s += c
+    return s
+
+
+def _taylor_shift(coeffs: Sequence[int], r: int) -> List[int]:
+    """T with P(r + z) = sum_k T_k z^k for P(z) = sum_i coeffs[i] z^i, over
+    the integers: len(coeffs) - 1 synthetic divisions by z - r, about
+    len(coeffs)^2 / 2 multiply-adds."""
+    a = list(coeffs)
+    top = len(a) - 2
+    for i in range(top + 1):
+        for j in range(top, i - 1, -1):
+            a[j] += r * a[j + 1]
+    return a
+
+
+class _Centre(NamedTuple):
+    """The cdf or pdf re-expanded about x = at = r/_CENTRES, as sum_k b_k y^k
+    with y = x - at, for the points whose nearest centre this is: |y| <= h
+    = 1/(2 _CENTRES), so x lies in [at/2, 2 at] and y is exact (Sterbenz's
+    lemma).
+
+    `head` holds b_0..b_k0, highest first.  The a-priori bound `bound`
+    holds at every such point, E = gamma_(2 k0 + 5) sum_k |b_k| h^k +
+    2 sum_(k > k0) |b_k| h^k (Horner, two roundings per coefficient and two
+    of `_eval_exact`, as in `_horner`, plus the dropped terms; the one unit
+    above 2 k0 + 4 also covers the roundings of these sums), plus (k0 + 1)
+    2^-1074 for underflow.  k0 is the least order whose dropped terms sum to
+    below one unit roundoff of the first part.
+    """
+    at: float
+    head: List[float]
+    bound: float
+
+
+def _build_centre(shift: Sequence[int], den: int, r: int, derivative: bool,
+                  const: LeadingConstant) -> Optional[_Centre]:
+    """The `_Centre` at r/_CENTRES from `shift`, the Taylor shift by r of the
+    integer polynomial M_i = Q_i 8^(D-i), where the cdf is const Q(x) / den
+    and Q has degree D (8 standing for _CENTRES): Q(r/8 + y) = sum_k T_k
+    8^(k-D) y^k.  The pdf's coefficients are (k+1) b_(k+1).  Each b_k is
+    rounded as `_scaled_float` rounds, once by int true division and once
+    more where c != 1.  None where a coefficient, or the sum of their
+    sizes, is beyond float range."""
+    D = len(shift) - 1
+    if derivative:
+        pairs = [((k + 1) * shift[k + 1], den << _CENTRE_BITS * (D - k - 1)) for k in range(D)]
+    else:
+        pairs = [(t, den << _CENTRE_BITS * (D - k)) for k, t in enumerate(shift)]
+    try:
+        b = [_scaled_float(n, d, const) for n, d in pairs]
+    except OverflowError:
+        return None
+    if not math.isfinite(sum(map(abs, b))):
+        return None
+    # |b_k| h^k with h = 1/(2 _CENTRES), a power of two: exact unless it underflows
+    sizes = [math.ldexp(abs(c), -(_CENTRE_BITS + 1) * k) for k, c in enumerate(b)]
+    total = sum(sizes)
+    k0, tail = len(b) - 1, 0.0
+    while k0 > 0 and tail + sizes[k0] <= _U * _gamma(2 * k0 + 5) * total:
+        tail += sizes[k0]
+        k0 -= 1
+    return _Centre(at=r / _CENTRES, head=b[k0::-1],
+                   bound=_gamma(2 * k0 + 5) * total + 2 * tail + (k0 + 1) * _ETA)
 
 
 # -- exact values, correctly rounded --------------------------------------------
@@ -554,6 +679,17 @@ class _Cells(Mapping):
         return sum(map(len, self._rows))
 
 
+class _Poly(NamedTuple):
+    """The cdf or pdf of a table about 0, as `SeriesTable._polynomial` keeps
+    it: x^power times the `_horner` terms (None beyond float range), their
+    bound factors, and the integer numerators that `_exact_value` takes."""
+    power: int
+    terms: Optional[List[Tuple[float, float]]]
+    shifted: List[int]
+    gamma: float
+    floor: float
+
+
 class SeriesTable:
     """Exact coefficients of one truncated series plus its scaling constant.
 
@@ -589,7 +725,11 @@ class SeriesTable:
                 if k == K:
                     self._last_row.append((t, v))
         self._collapsed: Optional[List[Fraction]] = None
-        self._polys: Dict[bool, tuple] = {}
+        self._polys: Dict[bool, _Poly] = {}
+        # the lazy Taylor centres: integer shifts by r, float centres by
+        # (derivative, r)
+        self._shifts: Dict[int, List[int]] = {}
+        self._centres: Dict[Tuple[bool, int], Optional[_Centre]] = {}
         self._warned = False
         self._moments: Dict[int, Tuple[int, int, float]] = {}
         mass, rel_last = self._moment_with_monitor(0)
@@ -607,6 +747,8 @@ class SeriesTable:
         return self.diagnostics["last_increment_rel"] < MONITOR_TOLERANCE
 
     def _warn_if_unconverged(self) -> None:
+        """Warns once per table; every public method that reads values calls
+        this itself, so that stacklevel=3 names its caller's line."""
         if not self.converged and not self._warned:
             self._warned = True
             warnings.warn(
@@ -622,12 +764,12 @@ class SeriesTable:
             self._collapsed = [Fraction(n, self._denominator) for n in self._nums]
         return self._collapsed
 
-    def _polynomial(self, derivative: bool):
+    def _polynomial(self, derivative: bool) -> _Poly:
         """The cdf, or with derivative the pdf, as x^power * sum_j a_j x^j, once
-        per table: (power, the Horner terms of `_horner` with const folded into
-        the a_j, or None when they overflow, and the a_j / const as integer
-        numerators over the common denominator times 2^_GUARD, as
-        `_exact_value` takes them)."""
+        per table: the Horner terms of `_horner` with const folded into the
+        a_j (None when they overflow) and their bound factors, and the a_j /
+        const as integer numerators over the common denominator times
+        2^_GUARD, as `_exact_value` takes them."""
         if derivative not in self._polys:
             nums, power = self._nums, self.rho
             if derivative:
@@ -641,7 +783,9 @@ class SeriesTable:
                          if math.isfinite(sum(map(abs, floats))) else None)
             except OverflowError:  # a coefficient beyond float range
                 terms = None
-            self._polys[derivative] = power, terms, [n << _GUARD for n in nums]
+            self._polys[derivative] = _Poly(
+                power, terms, [n << _GUARD for n in nums],
+                _gamma(2 * len(nums) + power + 3), (len(nums) + power) * _ETA)
         return self._polys[derivative]
 
     def _eval_exact(self, x: Fraction, derivative: bool) -> float:
@@ -650,33 +794,133 @@ class SeriesTable:
         rounded, times the constant q c.  Its fixed-point Horner
         keeps s within len(N) + 1 of 2^G times that sum and grows the guard
         bits G until the rounding is decided."""
-        power, _, shifted = self._polynomial(derivative)
+        power, _, shifted = self._polynomial(derivative)[:3]
         return _exact_value(shifted, self._denominator, x, power, self.const)
 
-    def _evaluate(self, x: float, derivative: bool) -> float:
+    def _centre(self, derivative: bool, r: int) -> Optional[_Centre]:
+        """The `_Centre` at r/_CENTRES, built on first use: one integer Taylor
+        shift per r serves the cdf and the pdf."""
+        key = (derivative, r)
+        if key not in self._centres:
+            if r not in self._shifts:
+                # Q(x) = x^rho sum_j N_j x^j of degree D, as M_i = Q_i 8^(D-i)
+                D = self.rho + len(self._nums) - 1
+                scaled = [0] * self.rho + [n << _CENTRE_BITS * (D - self.rho - j)
+                                           for j, n in enumerate(self._nums)]
+                self._shifts[r] = _taylor_shift(scaled, r)
+            self._centres[key] = _build_centre(self._shifts[r], self._denominator,
+                                               r, derivative, self.const)
+        return self._centres[key]
+
+    def _has_centre(self, derivative: bool, r: int) -> bool:
+        return self._centres.get((derivative, r)) is not None
+
+    def _head(self, derivative: bool, r: int, x):
+        """(value, bound, accepted) of centre r's head at a float or an array
+        x whose nearest centre is r, building the centre on first use, or None
+        where it is beyond float range."""
+        centre = self._centre(derivative, r)
+        if centre is None:
+            return None
+        value = _horner_value(centre.head, x - centre.at)
+        return value, centre.bound, centre.bound <= _ACCEPT * abs(value)
+
+    def _bounded(self, x: float, derivative: bool) -> Tuple[float, float]:
+        """(value, bound): the cdf or pdf at a float x and a bound on its
+        distance from `_eval_exact`.  A point whose nearest centre r exists
+        goes straight to its head; then come centre 0, the head of r if it
+        was not tried (building it; none for r = 0, x <= 1/16) and
+        `_eval_exact` (bound 0.0), the first step whose bound is <= _ACCEPT
+        |value| giving the value."""
         if x == 0:
-            return 0.0
-        power, terms, _ = self._polynomial(derivative)
+            return 0.0, 0.0
+        # the dict first, and the centres only once one exists: calling
+        # `_polynomial` and looking up a centre on every point added 0.4 us
+        # to a 4.5 us cdf at (10,3,1,K=50), a table that builds no centre
+        power, terms, _, gamma, floor = (self._polys.get(derivative)
+                                         or self._polynomial(derivative))
         if terms is not None:
-            value, ok = _horner(terms, x, power)
+            if self._centres:
+                r = round(x * _CENTRES)
+                if self._has_centre(derivative, r):
+                    value, bound, ok = self._head(derivative, r, x)
+                    if ok:
+                        return value, bound
+            value, bound, ok = _horner(terms, x, power, gamma, floor)
             if ok:
-                return value
-        return self._eval_exact(Fraction(x), derivative)
+                return value, bound
+            r = round(x * _CENTRES)
+            if r and not self._has_centre(derivative, r):
+                got = self._head(derivative, r, x)
+                if got is not None and got[2]:
+                    return got[:2]
+        return self._eval_exact(Fraction(x), derivative), 0.0
+
+    def _evaluate(self, x: float, derivative: bool) -> float:
+        return self._bounded(x, derivative)[0]
+
+    def _bounded_many(self, flat: np.ndarray, derivative: bool):
+        """`_bounded` over a 1-D array: centre 0 runs on every point at once,
+        the points it rejects build their nearest centres, and then every
+        point whose nearest centre exists tries its head, one numpy Horner
+        per centre, as `_bounded` does once those centres exist.  So the
+        (value, bound) pairs are bitwise those `_bounded` gives after the
+        call."""
+        import numpy as np
+        poly = self._polynomial(derivative)
+        if poly.terms is None:
+            value, bound = np.zeros_like(flat), np.zeros_like(flat)
+            todo = range(flat.size)
+        else:
+            value, bound, ok = _horner(poly.terms, flat, poly.power, poly.gamma, poly.floor)
+            todo = np.flatnonzero(~ok)
+            if todo.size or self._centres:
+                todo = self._centres_many(flat, todo, derivative, value, bound)
+        for i in todo:
+            value[i] = self._eval_exact(Fraction(float(flat[i])), derivative)
+            bound[i] = 0.0
+        return value, bound
+
+    def _centres_many(self, flat, todo, derivative: bool, value, bound):
+        """The centres' part of `_bounded_many`, given centre 0's (value,
+        bound) in place and the points todo it rejected; returns the points
+        left for `_eval_exact`."""
+        import numpy as np
+        zero = flat[todo] == 0
+        value[todo[zero]] = bound[todo[zero]] = 0.0
+        todo = todo[~zero]
+        near = np.rint(flat[todo] * _CENTRES).astype(np.intp)
+        # sets, not np.unique: its first call in a process costs about 18 ms
+        for r in set(near[near > 0].tolist()):
+            self._centre(derivative, r)
+        rejected = np.zeros(flat.size, dtype=bool)
+        rejected[todo] = True
+        centres = [r for r in range(1, _CENTRES + 1) if self._has_centre(derivative, r)]
+        if centres:
+            late = np.flatnonzero(flat >= (2 * centres[0] - 1) / (2 * _CENTRES))
+            near = np.rint(flat[late] * _CENTRES).astype(np.intp)
+            for r in centres:
+                at = late[near == r]
+                v, b, accept = self._head(derivative, r, flat[at])
+                value[at[accept]] = v[accept]
+                bound[at[accept]] = b
+                rejected[at[accept]] = False
+        return np.flatnonzero(rejected)
 
     def cdf(self, x: float) -> float:
         if not (0 <= x <= 1):
             raise ValueError("x must lie in [0, 1]")
         self._warn_if_unconverged()
-        return self._evaluate(float(x), derivative=False)
+        return self._bounded(float(x), False)[0]
 
     def pdf(self, x: float) -> float:
         if not (0 < x < 1):
             raise ValueError("x must lie in (0, 1)")
         self._warn_if_unconverged()
-        return self._evaluate(float(x), derivative=True)
+        return self._bounded(float(x), True)[0]
 
     def cdf_many(self, xs) -> np.ndarray:
-        """Vectorized cdf over an array, exact-rational fallback pointwise."""
+        """Vectorized cdf over an array: bitwise the values of `cdf`."""
         import numpy as np
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
@@ -684,19 +928,13 @@ class SeriesTable:
         if not np.all((xs >= 0) & (xs <= 1)):
             raise ValueError("x must lie in [0, 1]")
         self._warn_if_unconverged()
-        flat = xs.ravel()
-        _, terms, _ = self._polynomial(False)
-        if terms is None:
-            value, ok = np.zeros_like(flat), np.zeros(flat.shape, dtype=bool)
-        else:
-            value, ok = _horner(terms, flat, self.rho)
-        for i in np.flatnonzero(~ok):
-            value[i] = self._eval_exact(Fraction(float(flat[i])), False)
-        return value.reshape(xs.shape)
+        return self._bounded_many(xs.ravel(), False)[0].reshape(xs.shape)
 
     def mass(self) -> float:
         """Total mass of the truncated series: the cdf at 1."""
-        return self.moment(0)
+        value = self._moment_with_monitor(0)[0]
+        self._warn_if_unconverged()
+        return value
 
     def moment(self, h: int) -> float:
         value = self._moment_with_monitor(h)[0]
@@ -734,7 +972,8 @@ class SeriesTable:
     def quantile(self, alpha: float, tol: float = 1e-8) -> float:
         if not (0 < alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
-        top = self.mass()
+        self._warn_if_unconverged()
+        top = self._moment_with_monitor(0)[0]
         if alpha >= top:
             raise TruncationError(
                 f"cannot invert at alpha={alpha}: truncated mass is only {top:.6f}; "
@@ -826,6 +1065,10 @@ def get_table(params: DistParams) -> SeriesTable:
 
 def get_general_table(n1: int, n2: int, K: int, t_max: Optional[int] = None) -> SeriesTable:
     """Series table for the real-case formulation valid for any n1 <= n2."""
+    _check_integers(n1=n1, n2=n2)
+    if K is None:
+        raise ValueError("K must be an integer, got None")
+    _check_orders(K, t_max)
     if not (2 <= n1 <= n2):
         raise ValueError("need 2 <= n1 <= n2")
     return _table(n2, n1, 1, K, t_max)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import jackratio.dist as dist_mod
+import quadrature_oracle
 from backward_build import backward_coeffs, delta_functional, rising_factorial
 from jackratio import esym, jack
 from jackratio.dist import (DistParams, LeadingConstant, SeriesTable, TruncationError,
@@ -36,6 +37,15 @@ def drop_table(params):
 
 
 # -- parameter validation -----------------------------------------------------
+
+def test_general_table_validation():
+    # the same domain errors as DistParams, not an empty table or a TypeError
+    for args, kw in (((2, 5, -1), {}), ((2, 5, 4), {"t_max": -3}), ((2, 5, 2.5), {}),
+                     ((2, 5, None), {}), ((2, 5, True), {}), ((2.0, 5, 4), {}),
+                     ((2, 5.0, 4), {})):
+        with pytest.raises(ValueError):
+            get_general_table(*args, **kw)
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -246,7 +256,8 @@ def test_exact_and_float_paths_agree():
 
 @pytest.mark.parametrize("params, exact_share", [
     (DistParams(m=10, n=3, beta=1, K=25), (0.0, 0.1)),  # nearly all on the float path
-    (DistParams(m=10, n=3, beta=2, K=20), (0.3, 0.6)),  # many fall back to exact
+    # the Taylor centres about r/8 take every point centre 0 rejects
+    (DistParams(m=10, n=3, beta=2, K=20), (0.0, 0.0)),
 ])
 def test_cdf_many_matches_pointwise_cdf(monkeypatch, params, exact_share):
     table = quiet_table(params)
@@ -275,9 +286,11 @@ def test_cdf_many_keeps_the_input_shape(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         scalar = table.cdf_many(0.5)
-        grid = [[0.5, 0.99], [0.3, 0.2]]
+        # x^8 underflows at 2^-600, so the float bound rejects it and the
+        # exact path returns it: one point of the grid falls back
+        grid = [[0.5, 0.99], [0.3, 2.0 ** -600]]
         many = table.cdf_many(grid)
-        assert Fraction(0.99) in calls  # one point of the grid falls back to exact
+        assert calls == [Fraction(2.0 ** -600)]
         single = [[table.cdf(x) for x in row] for row in grid]
     assert scalar.shape == () and many.shape == (2, 2)
     got = [float(scalar)] + many.ravel().tolist()
@@ -316,13 +329,14 @@ def test_quantile_evaluates_each_point_once(monkeypatch):
 
 
 def test_float_fallback_under_cancellation():
-    # large m: the alternating coefficients overwhelm double precision near 1,
-    # forcing the exact-rational evaluation path; results must stay sane
+    # large m: the alternating coefficients overwhelm double precision near 1
+    # in the monomial basis, so the Taylor centre about 1 (or the exact path)
+    # takes the point; results must stay sane
     params = auto_converged_params(145, 2, 1)
     table = get_table(params)
     v = table.cdf(0.97)
     exact = table._eval_exact(Fraction(0.97), derivative=False)
-    assert v == exact  # the fast path must have deferred
+    assert v == exact
     assert v == pytest.approx(1.0, abs=1e-9)  # essentially all mass below 0.9
     grid = table.cdf_many(np.linspace(0.05, 0.45, 11))
     assert np.all(np.diff(grid) > 0)
@@ -347,6 +361,24 @@ def test_truncation_warning_fires_once_when_unconverged():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         get_table(params).moment(2)
+
+
+def test_truncation_warning_names_the_callers_line():
+    table = quiet_table(DistParams(m=10, n=3, beta=1, K=25))
+    entry_points = {
+        "cdf": lambda: table.cdf(0.5),
+        "cdf_many": lambda: table.cdf_many([0.5]),
+        "pdf": lambda: table.pdf(0.5),
+        "quantile": lambda: table.quantile(0.5),
+        "mass": lambda: table.mass(),
+        "moment": lambda: table.moment(1),
+    }
+    for name, call in entry_points.items():
+        table._warned = False
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            call()
+        assert [w.filename for w in seen] == [__file__], name
 
 
 def test_no_warning_when_converged():
@@ -767,6 +799,11 @@ def test_float_terms_are_dropped_when_they_could_overflow():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             assert table.cdf(x) == table._eval_exact(Fraction(x), False)
+            # cdf_many takes every point through the exact path as well
+            xs = [x, 2.0 ** -231, 2.0 ** -232]
+            assert table.cdf_many(xs).tolist() == [table._eval_exact(Fraction(v), False)
+                                                   for v in xs]
+            assert not table._centres
 
 
 @settings(max_examples=300, deadline=None)
@@ -842,3 +879,111 @@ def test_queries_read_the_collapse_not_the_cells():
     table = SeriesTable(ref.build, ref.K)
     table.coeffs = NoCells()
     assert answers(table) == want
+
+
+# -- float evaluation under a derived bound -----------------------------------------
+
+BOUND_TABLES = [
+    DistParams(m=25, n=2, beta=2, K=80), DistParams(m=105, n=2, beta=1, K=100),
+    DistParams(m=145, n=2, beta=1, K=200), DistParams(m=10, n=3, beta=1, K=100),
+    DistParams(m=10, n=3, beta=2, K=20),
+]
+
+
+@pytest.mark.parametrize("params", BOUND_TABLES)
+def test_accepted_floats_are_within_their_bound(params):
+    table = quiet_table(params)
+    rng = np.random.default_rng(5)
+    # a seeded grid plus the edges of the centres' intervals
+    xs = np.concatenate([rng.uniform(0, 1, 120), [2.0 ** -30, 1 / 16, 3 / 16, 0.5, 15 / 16, 1.0]])
+    values, bounds = table._bounded_many(xs, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert table.cdf_many(xs).tolist() == values.tolist()
+        for x, v, b in zip(xs.tolist(), values.tolist(), bounds.tolist()):
+            exact = table._eval_exact(Fraction(x), False)
+            assert abs(v - exact) <= b if b else v == exact, x
+            assert b <= 1e-9 * abs(v), x
+            assert table._bounded(x, False) == (v, b), x  # bitwise, as cdf_many
+            assert table.cdf(x) == v, x
+            if 0 < x < 1:
+                pv, pb = table._bounded(x, True)
+                exact = table._eval_exact(Fraction(x), True)
+                assert abs(pv - exact) <= pb if pb else pv == exact, x
+                assert pb <= 1e-9 * abs(pv) and table.pdf(x) == pv, x
+
+
+def test_pdf_far_tail_is_within_1e9_or_exact():
+    # at (105,2,1,K=100) the pdf falls to about 1e-23 near x = 0.9, where no
+    # centre keeps 1e-9 of it: those points take the exact path
+    table = quiet_table(DistParams(m=105, n=2, beta=1, K=100))
+    for x in np.linspace(0.5, 0.99, 50).tolist():
+        value, bound = table._bounded(x, True)
+        exact = table._eval_exact(Fraction(x), True)
+        assert value == exact if not bound else abs(value - exact) <= 1e-9 * abs(exact), x
+
+
+def test_bound_covers_an_underflowing_power():
+    # 1e6 x^15 on x in [2^-71, 2^-68]: x^15 is mostly subnormal while the
+    # value reaches normal range.  The product chain then errs by up to
+    # 14 * 2^-1075, which the sum multiplies; the bound must carry that
+    power, c = 15, 1e6
+    gamma, floor = dist_mod._gamma(2 + power + 3), (1 + power) * dist_mod._ETA
+    rng = np.random.default_rng(3)
+    xs = np.ldexp(rng.uniform(1, 2, 300), rng.integers(-71, -68, 300))
+    values, bounds, ok = dist_mod._horner([(c, c)], xs, power, gamma, floor)
+    assert 0 < ok.sum() < len(xs)
+    subnormal = 0
+    for x, v, b, accepted in zip(xs.tolist(), values.tolist(), bounds.tolist(), ok.tolist()):
+        assert dist_mod._horner([(c, c)], x, power, gamma, floor) == (v, b, accepted)
+        if accepted:
+            assert abs(v - float(Fraction(c) * Fraction(x) ** power)) <= b, x
+            subnormal += x < 2.0 ** (-1023 / power)
+    assert subnormal
+    # and so on a table, at rho = 8
+    table = quiet_table(DistParams(m=10, n=3, beta=2, K=20))
+    for k in range(125, 136):
+        x = 2.0 ** -k * 1.7
+        value, bound = table._bounded(x, False)
+        exact = table._eval_exact(Fraction(x), False)
+        assert abs(value - exact) <= bound if bound else value == exact, x
+
+
+def test_no_centre_where_centre_zero_accepts():
+    # a well conditioned table pays for no Taylor shift
+    table = quiet_table(DistParams(m=10, n=3, beta=1, K=50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        table.cdf_many(np.random.default_rng(2).uniform(0, 1, 2000))
+        table.quantile(0.9)
+    assert not table._shifts and not table._centres
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=12),
+       r=st.integers(1, dist_mod._CENTRES))
+def test_taylor_shift_matches_fraction_expansion(coeffs, r):
+    # P(r/8 + y) = 8^-D sum_k T_k (8y)^k with T the shift by r of M_i = P_i 8^(D-i)
+    D = len(coeffs) - 1
+    scale = dist_mod._CENTRES
+    shift = dist_mod._taylor_shift([c * scale ** (D - i) for i, c in enumerate(coeffs)], r)
+    at = Fraction(r, scale)
+    want = [Fraction(0)] * (D + 1)
+    for i, c in enumerate(coeffs):  # c (at + y)^i, binomially
+        for k in range(i + 1):
+            want[k] += c * math.comb(i, k) * at ** (i - k)
+    assert [Fraction(t, scale ** (D - k)) for k, t in enumerate(shift)] == want
+
+
+@pytest.mark.parametrize("params", BOUND_TABLES[:3])
+def test_cdf_matches_quadrature_within_bound_and_truncation(params):
+    # the truncation at x is the exact difference from the table at 2K; the
+    # quadrature itself reaches about 1e-14 (tests/quadrature_oracle.py)
+    table = quiet_table(params)
+    longer = quiet_table(DistParams(m=params.m, n=2, beta=params.beta, K=2 * params.K))
+    for x in (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9):
+        value, bound = table._bounded(x, False)
+        truncation = abs(longer._eval_exact(Fraction(x), False) -
+                         table._eval_exact(Fraction(x), False))
+        want = quadrature_oracle.cdf(params.m, params.beta, x)
+        assert abs(value - want) <= bound + truncation + 1e-14 * want, x
