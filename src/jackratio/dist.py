@@ -37,15 +37,17 @@ exact arithmetic only where no float evaluation can be certified.  Centre 0
 is Horner in the monomial basis with Higham's running error bound, which
 also counts the rounding of each coefficient, of x^rho and of the exact
 reference itself (see `_horner`); a value is accepted when its bound is at
-most 1e-9 of it.  Where the coefficients cancel (near x = 1 at large m),
-Taylor centres about x = r/8, r = 1..8, take over.  Each is built on the
-first point that needs it, by one exact integer Taylor shift
-(`_taylor_shift`), its coefficients rounded once and cut where the dropped
-terms fall below one unit of its a-priori bound; y = x - r/8 is exact.  A
-point whose nearest centre exists goes straight to it (see
-`SeriesTable._bounded`), so a value can differ in its last bits, within its
-bound, with the centres earlier calls built; `cdf_many` gives bitwise the
-values `cdf` gives after it.
+most 1e-9 of it.  The running error sum never decreases in x, so its value
+on a grid of 65 points, each computed once, stands in for it at the points
+below; the second Horner pass runs only where that bound fails.  Where the
+coefficients cancel (near x = 1 at large m), Taylor centres about x = r/8,
+r = 1..8, take over.  Each is built on the first point that needs it, by
+one exact integer Taylor shift (`_taylor_shift`), its coefficients rounded
+once and cut where the dropped terms fall below one unit of its a-priori
+bound; y = x - r/8 is exact.  A point whose nearest centre exists goes
+straight to it (see `SeriesTable._bounded`), so a value can differ in its
+last bits, within its bound, with the centres earlier calls built;
+`cdf_many` gives bitwise the values `cdf` gives after it.
 
 The exact passes run over Python ints.  Each table keeps one common
 denominator D, the lcm of the denominators of its c[k,t], and works on the
@@ -292,6 +294,8 @@ def leading_constant(params: DistParams) -> LeadingConstant:
 
 _CENTRES = 8  # Taylor centres r/_CENTRES, r = 1.._CENTRES; a power of two
 _CENTRE_BITS = _CENTRES.bit_length() - 1
+_GRID = 64  # centre 0's envelope cells i/_GRID, i = 0.._GRID; a power of two
+_BLOCK = 2 ** 15  # points per block of centre 0 over an array: its work arrays stay in L2
 _ACCEPT = 1e-9  # a float value is accepted when its bound is <= _ACCEPT * |value|
 _U = 2.0 ** -53  # unit roundoff of a double
 _ETA = 2.0 ** -1074  # the most an underflowing product can lose, absolutely
@@ -303,68 +307,178 @@ def _gamma(k: int) -> float:
     return k * _U / (1 - k * _U)
 
 
-def _horner(terms: Sequence[Tuple[float, float]], x, power: int, gamma: float,
-            floor: float):
+class _Poly(NamedTuple):
+    """The cdf or pdf of a table about 0, as `SeriesTable._polynomial` keeps
+    it: x^power * sum_j c_j x^j.  `coeffs` holds the float c_j from the
+    highest power down (None beyond float range) and `sizes` the |c_j|;
+    `gamma` and `floor` are `_horner`'s bound factors, `shifted` the integer
+    numerators that `_exact_value` takes.  `envelope` holds the float Horner
+    sum of the sizes at i/_GRID, i = 0.._GRID, each cell computed on the
+    first point that falls in it, or for an array on the first array whose
+    cells span it (None until then)."""
+    power: int
+    coeffs: Optional[List[float]]
+    sizes: List[float]
+    shifted: Sequence[int]
+    gamma: float
+    floor: float
+    envelope: List[Optional[float]]
+
+    @classmethod
+    def of(cls, power: int, coeffs: Optional[List[float]], shifted: Sequence[int] = ()) -> "_Poly":
+        """The polynomial with these float coefficients, its bound factors
+        for d + 1 = len(coeffs) terms and an empty envelope."""
+        if coeffs is None:
+            return cls(power, None, [], shifted, 0.0, 0.0, [])
+        return cls(power, coeffs, [abs(c) for c in coeffs], shifted,
+                   _gamma(2 * len(coeffs) + power + 3), (len(coeffs) + power) * _ETA,
+                   [None] * (_GRID + 1))
+
+    def cell(self, i: int) -> float:
+        """Envelope cell i, computed on first use."""
+        e = self.envelope[i]
+        if e is None:
+            e = self.envelope[i] = _horner_value(self.sizes, i / _GRID)
+        return e
+
+    def filled(self, index):
+        """The envelope as a float array, after computing the cells still
+        missing from the lowest to the highest cell of the integer array
+        index, in one numpy Horner: the same arithmetic as `cell`."""
+        import numpy as np
+        env = self.envelope
+        if None in env:
+            # a span, not the cells named: two reductions find it, where marking
+            # each named cell cost 6 times as much
+            missing = [i for i in range(int(index.min()), int(index.max()) + 1) if env[i] is None]
+            grid = np.array(missing, dtype=float) / _GRID
+            for i, e in zip(missing, _horner_value(self.sizes, grid).tolist()):
+                env[i] = e
+        return np.array(env, dtype=float)  # a cell still missing reads nan, and no point takes it
+
+
+def _power(x, power: int, out=None):
+    """x^power by power - 1 products (a copy of x for power 1), for a float
+    or an array, into out when given."""
+    if out is None:
+        xp = x * x if power > 1 else x * 1.0
+    else:
+        import numpy as np
+        xp = np.multiply(x, x if power > 1 else 1.0, out=out)
+    for _ in range(power - 2):
+        xp *= x
+    return xp
+
+
+def _horner(poly: _Poly, x):
     """(value, bound, accepted): x^power * sum_j c_j x^j in floats, a bound
     on its distance from the exact value that `_eval_exact` rounds, and
     whether bound <= _ACCEPT |value|, for 0 <= x <= 1 and power >= 1.
 
-    terms holds the pairs (c_j, |c_j|) from the highest power down, each c_j
-    the exact a_j rounded at most twice (`_scaled_float`).  Horner over d+1
-    terms makes 2d roundings, so with A = sum_j |a_j| x^j the sum is off
-    by at most gamma_(2d+2) A (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, eq. 5.3); x^power, by power - 1 products, and the
-    product with it round power times more, and `_eval_exact` itself is
-    the exact value rounded twice.  So the value is within
-    gamma_(2d+power+4) A x^power of `_eval_exact`.  The running sum a of
-    the |c_j| and its products undershoot A x^power by at most a factor
-    (1 - u)^(2d+power+3), which one more unit, `gamma` = gamma_(2d+power+5),
-    covers while d is below about 10^7.  floor adds the most the Horner
-    steps and the last product can lose to underflow.  The x^power chain
-    can lose up to (power - 1) 2^-1075 to underflow, which the sum then
-    multiplies, so a gets power 2^-1074 a more: the bound is a (gamma
-    x^power + power 2^-1074) + floor.
+    Each c_j is the exact a_j rounded at most twice (`_scaled_float`).
+    Horner over d+1 terms makes 2d roundings, so with A = sum_j |a_j| x^j
+    the sum is off by at most gamma_(2d+2) A (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, eq. 5.3); x^power, by power -
+    1 products, and the product with it round power times more, and
+    `_eval_exact` itself is the exact value rounded twice.  So the value is
+    within gamma_(2d+power+4) A x^power of `_eval_exact`.  The running sum a
+    of the |c_j| (Horner over `sizes`) and its products undershoot A x^power
+    by at most a factor (1 - u)^(2d+power+3), which one more unit, `gamma` =
+    gamma_(2d+power+5), covers while d is below about 10^7.  floor adds the
+    most the Horner steps and the last product can lose to underflow.  The
+    x^power chain can lose up to (power - 1) 2^-1075 to underflow, which the
+    sum then multiplies, so a gets power 2^-1074 a more: the bound is
+    a (gamma x^power + power 2^-1074) + floor.
 
-    x is a float or a numpy array; the arithmetic is the same for both, so
-    an array gives bitwise the values and flags a loop of floats gives.  For
-    an array s, a and x^power are updated in place, and x^power then holds
-    _ACCEPT |value|: three float arrays in all.
-    numpy is imported in the array branch only, so scalar callers (every
-    `dist` command) never load it.
+    The running sum needs a second Horner pass, so centre 0 first tries the
+    envelope in its place.  Every step of a, a x + |c_j|, rounds a function
+    of a >= 0 and x >= 0 that never decreases in either, and rounding to
+    nearest is monotone, so the computed a never decreases as x grows.  With
+    i = ceil(_GRID x) (exact: _GRID is a power of two), x <= i/_GRID, so
+    the envelope cell E_i, the same computed sum at i/_GRID, is >= a; by the
+    same monotonicity E_i (gamma x^power + power 2^-1074) + floor is >= the
+    running-sum bound.  It is therefore a derived bound as well, and where
+    it passes the 1e-9 rule the running sum passes too.  The running sum is
+    taken only where the envelope bound fails, so every value and every
+    accept decision is the running sum's, and the bound returned is the
+    envelope's where it accepts and the running sum's elsewhere.
+
+    x is a float or a 1-D numpy array; the arithmetic is the same for both,
+    so an array gives bitwise the values, bounds and flags a loop of floats
+    gives.  An array runs in blocks of _BLOCK points, writing into its
+    output arrays in place with one work array (`_horner_many`).  numpy is
+    imported in the array branch only, so scalar callers (every `dist`
+    command) never load it.
     """
-    if isinstance(x, float):
-        s = a = 0.0
-    else:
-        import numpy as np
-        s, a = np.zeros_like(x), np.zeros_like(x)
-    for c, abs_c in terms:
-        s *= x
-        s += c
-        a *= x
-        a += abs_c
-    xp = x * x if power > 1 else x * 1.0  # a copy of an array x
-    for _ in range(power - 2):
-        xp *= x
+    if not isinstance(x, float):
+        return _horner_many(poly, x)
+    s = _horner_value(poly.coeffs, x)
+    xp = _power(x, poly.power)
     s *= xp
-    xp *= gamma
-    xp += power * _ETA
+    tol = _ACCEPT * abs(s)
+    bound = poly.cell(math.ceil(x * _GRID)) * (xp * poly.gamma + poly.power * _ETA) + poly.floor
+    if not bound <= tol:
+        bound = _running_bound(poly, x)
+    return s, bound, bound <= tol
+
+
+def _running_bound(poly: _Poly, x):
+    """`_horner`'s bound from the running sum a at a float or an array x:
+    the second Horner pass, which the envelope saves where it accepts."""
+    xp = _power(x, poly.power)
+    xp *= poly.gamma
+    xp += poly.power * _ETA
+    a = _horner_value(poly.sizes, x)
     a *= xp
-    a += floor
-    if isinstance(s, float):
-        return s, a, a <= _ACCEPT * abs(s)
-    tol = np.abs(s, out=xp)
-    tol *= _ACCEPT
-    return s, a, a <= tol
+    a += poly.floor
+    return a
 
 
-def _horner_value(coeffs: Sequence[float], y):
+def _horner_many(poly: _Poly, x):
+    """`_horner` over a 1-D array, _BLOCK points at a time: the value in
+    place in its output block, the envelope bound in the bound block, and
+    one work array that holds the envelope cells (as integers), then
+    x^power and gamma x^power + power 2^-1074, then _ACCEPT |value|.  The
+    running sum runs on the points the envelope rejects only."""
+    import numpy as np
+    value, bound = np.empty_like(x), np.empty_like(x)
+    accepted = np.empty(x.shape, dtype=bool)
+    work = np.empty(min(x.size, _BLOCK))
+    for start in range(0, x.size, _BLOCK):
+        t, s, b, ok = (a[start:start + _BLOCK] for a in (x, value, bound, accepted))
+        w = work[:t.size]
+        cells = w.view(np.int64)
+        np.ceil(np.multiply(t, _GRID, out=b), out=b)
+        np.copyto(cells, b, casting="unsafe")  # unbuffered, where a ufunc's cast buffers
+        np.take(poly.filled(cells), cells, out=b, mode="clip")  # "raise" copies
+        _horner_value(poly.coeffs, t, out=s)
+        _power(t, poly.power, out=w)
+        s *= w
+        w *= poly.gamma
+        w += poly.power * _ETA
+        b *= w
+        b += poly.floor
+        tol = np.abs(s, out=w)
+        tol *= _ACCEPT
+        np.less_equal(b, tol, out=ok)
+        rejected = np.flatnonzero(~ok)
+        if rejected.size:
+            b[rejected] = a = _running_bound(poly, t[rejected])
+            ok[rejected] = a <= tol[rejected]
+    return value, bound, accepted
+
+
+def _horner_value(coeffs: Sequence[float], y, out=None):
     """sum_k b_k y^k by Horner, the b_k from the highest power down; the same
-    arithmetic for a float and a numpy array."""
+    arithmetic for a float and a numpy array, in place into out when given."""
     if isinstance(y, float):
         s = 0.0
-    else:
+    elif out is None:
         import numpy as np
         s = np.zeros_like(y)
+    else:
+        s = out
+        s.fill(0.0)
     for c in coeffs:
         s *= y
         s += c
@@ -679,17 +793,6 @@ class _Cells(Mapping):
         return sum(map(len, self._rows))
 
 
-class _Poly(NamedTuple):
-    """The cdf or pdf of a table about 0, as `SeriesTable._polynomial` keeps
-    it: x^power times the `_horner` terms (None beyond float range), their
-    bound factors, and the integer numerators that `_exact_value` takes."""
-    power: int
-    terms: Optional[List[Tuple[float, float]]]
-    shifted: List[int]
-    gamma: float
-    floor: float
-
-
 class SeriesTable:
     """Exact coefficients of one truncated series plus its scaling constant.
 
@@ -766,8 +869,8 @@ class SeriesTable:
 
     def _polynomial(self, derivative: bool) -> _Poly:
         """The cdf, or with derivative the pdf, as x^power * sum_j a_j x^j, once
-        per table: the Horner terms of `_horner` with const folded into the
-        a_j (None when they overflow) and their bound factors, and the a_j /
+        per table, as a `_Poly`: the float coefficients of `_horner` with
+        const folded into the a_j (None when they overflow), and the a_j /
         const as integer numerators over the common denominator times
         2^_GUARD, as `_exact_value` takes them."""
         if derivative not in self._polys:
@@ -778,14 +881,12 @@ class SeriesTable:
             # every running sum of `_horner` at 0 <= x <= 1 is at most sum_j |a_j|,
             # so none overflows while that sum is finite
             try:
-                floats = [_scaled_float(n, self._denominator, self.const) for n in reversed(nums)]
-                terms = ([(c, abs(c)) for c in floats]
-                         if math.isfinite(sum(map(abs, floats))) else None)
+                coeffs = [_scaled_float(n, self._denominator, self.const) for n in reversed(nums)]
+                if not math.isfinite(sum(map(abs, coeffs))):
+                    coeffs = None
             except OverflowError:  # a coefficient beyond float range
-                terms = None
-            self._polys[derivative] = _Poly(
-                power, terms, [n << _GUARD for n in nums],
-                _gamma(2 * len(nums) + power + 3), (len(nums) + power) * _ETA)
+                coeffs = None
+            self._polys[derivative] = _Poly.of(power, coeffs, [n << _GUARD for n in nums])
         return self._polys[derivative]
 
     def _eval_exact(self, x: Fraction, derivative: bool) -> float:
@@ -794,8 +895,8 @@ class SeriesTable:
         rounded, times the constant q c.  Its fixed-point Horner
         keeps s within len(N) + 1 of 2^G times that sum and grows the guard
         bits G until the rounding is decided."""
-        power, _, shifted = self._polynomial(derivative)[:3]
-        return _exact_value(shifted, self._denominator, x, power, self.const)
+        poly = self._polynomial(derivative)
+        return _exact_value(poly.shifted, self._denominator, x, poly.power, self.const)
 
     def _centre(self, derivative: bool, r: int) -> Optional[_Centre]:
         """The `_Centre` at r/_CENTRES, built on first use: one integer Taylor
@@ -837,16 +938,15 @@ class SeriesTable:
         # the dict first, and the centres only once one exists: calling
         # `_polynomial` and looking up a centre on every point added 0.4 us
         # to a 4.5 us cdf at (10,3,1,K=50), a table that builds no centre
-        power, terms, _, gamma, floor = (self._polys.get(derivative)
-                                         or self._polynomial(derivative))
-        if terms is not None:
+        poly = self._polys.get(derivative) or self._polynomial(derivative)
+        if poly.coeffs is not None:
             if self._centres:
                 r = round(x * _CENTRES)
                 if self._has_centre(derivative, r):
                     value, bound, ok = self._head(derivative, r, x)
                     if ok:
                         return value, bound
-            value, bound, ok = _horner(terms, x, power, gamma, floor)
+            value, bound, ok = _horner(poly, x)
             if ok:
                 return value, bound
             r = round(x * _CENTRES)
@@ -860,19 +960,20 @@ class SeriesTable:
         return self._bounded(x, derivative)[0]
 
     def _bounded_many(self, flat: np.ndarray, derivative: bool):
-        """`_bounded` over a 1-D array: centre 0 runs on every point at once,
-        the points it rejects build their nearest centres, and then every
-        point whose nearest centre exists tries its head, one numpy Horner
-        per centre, as `_bounded` does once those centres exist.  So the
+        """`_bounded` over a 1-D array: centre 0 runs on every point, in
+        blocks (`_horner`), the points it rejects build their nearest
+        centres, and then every point whose nearest centre exists tries its
+        head, one numpy Horner per centre, as `_bounded` does once those
+        centres exist.  So the
         (value, bound) pairs are bitwise those `_bounded` gives after the
         call."""
         import numpy as np
         poly = self._polynomial(derivative)
-        if poly.terms is None:
+        if poly.coeffs is None:
             value, bound = np.zeros_like(flat), np.zeros_like(flat)
             todo = range(flat.size)
         else:
-            value, bound, ok = _horner(poly.terms, flat, poly.power, poly.gamma, poly.floor)
+            value, bound, ok = _horner(poly, flat)
             todo = np.flatnonzero(~ok)
             if todo.size or self._centres:
                 todo = self._centres_many(flat, todo, derivative, value, bound)

@@ -162,12 +162,23 @@ def empirical_moments(samples: Sequence[float]) -> Dict[str, float]:
 
 
 def ks_distance(samples: Sequence[float], cdf) -> float:
-    """sup-norm distance between the sample's empirical cdf and a model cdf."""
+    """sup-norm distance between the sample's empirical cdf and a model cdf.
+
+    With the sample sorted and F its model cdf, that is the largest of
+    |(i + 1)/N - F_i| and |F_i - i/N|.  Two arrays the size of the sample
+    are formed, the grid i/N and one difference, which is updated in place;
+    the model's values are not written to.
+    """
     xs = np.sort(np.asarray(samples, dtype=float))
     N = xs.size
     if N == 0:
         raise ValueError("no samples")
     fx = np.asarray(cdf(xs), dtype=float)
-    hi = np.arange(1, N + 1) / N
-    lo = np.arange(0, N) / N
-    return float(np.maximum(np.abs(hi - fx), np.abs(fx - lo)).max())
+    grid = np.arange(N + 1, dtype=float)
+    grid /= N
+    gap = np.subtract(grid[1:], fx)
+    np.abs(gap, out=gap)
+    above = gap.max()
+    np.subtract(fx, grid[:-1], out=gap)
+    np.abs(gap, out=gap)
+    return float(np.maximum(above, gap.max()))  # np.maximum keeps a nan, as before

@@ -929,13 +929,15 @@ def test_bound_covers_an_underflowing_power():
     # 14 * 2^-1075, which the sum multiplies; the bound must carry that
     power, c = 15, 1e6
     gamma, floor = dist_mod._gamma(2 + power + 3), (1 + power) * dist_mod._ETA
+    poly = dist_mod._Poly.of(power, [c])
+    assert (poly.gamma, poly.floor) == (gamma, floor)
     rng = np.random.default_rng(3)
     xs = np.ldexp(rng.uniform(1, 2, 300), rng.integers(-71, -68, 300))
-    values, bounds, ok = dist_mod._horner([(c, c)], xs, power, gamma, floor)
+    values, bounds, ok = dist_mod._horner(poly, xs)
     assert 0 < ok.sum() < len(xs)
     subnormal = 0
     for x, v, b, accepted in zip(xs.tolist(), values.tolist(), bounds.tolist(), ok.tolist()):
-        assert dist_mod._horner([(c, c)], x, power, gamma, floor) == (v, b, accepted)
+        assert dist_mod._horner(poly, x) == (v, b, accepted)
         if accepted:
             assert abs(v - float(Fraction(c) * Fraction(x) ** power)) <= b, x
             subnormal += x < 2.0 ** (-1023 / power)
@@ -957,6 +959,106 @@ def test_no_centre_where_centre_zero_accepts():
         table.cdf_many(np.random.default_rng(2).uniform(0, 1, 2000))
         table.quantile(0.9)
     assert not table._shifts and not table._centres
+
+
+def fresh_table(params):
+    """A new table for params, whose envelope and centres no earlier call filled."""
+    drop_table(params)
+    return quiet_table(params)
+
+
+def running_sum_bound(poly, x):
+    """Centre 0's bound by Higham's running error sum alone, at a float x."""
+    a = 0.0
+    for size in poly.sizes:
+        a = a * x + size
+    xp = x
+    for _ in range(poly.power - 1):
+        xp *= x
+    return a * (xp * poly.gamma + poly.power * dist_mod._ETA) + poly.floor
+
+
+@pytest.mark.parametrize("params", BOUND_TABLES[:2])
+def test_cdf_many_blocks_give_the_pointwise_pairs(params):
+    # three blocks, the last of 17 points: every (value, bound) is bitwise
+    # the one `_bounded` gives after the call
+    table = fresh_table(params)
+    rng = np.random.default_rng(19)
+    xs = rng.uniform(0, 1, 2 * dist_mod._BLOCK + 17)
+    xs[:dist_mod._GRID + 1] = np.arange(dist_mod._GRID + 1) / dist_mod._GRID
+    rng.shuffle(xs)
+    values, bounds = table._bounded_many(xs, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert table.cdf_many(xs).tolist() == values.tolist()
+    assert ([table._bounded(x, False) for x in xs.tolist()]
+            == list(zip(values.tolist(), bounds.tolist())))
+
+
+@pytest.mark.parametrize("params", BOUND_TABLES)
+def test_envelope_grid_points_are_within_their_bound(params):
+    # x = i/64 is its own cell; one ulp below it shares the cell, one above
+    # takes the next one
+    table = fresh_table(params)
+    grid = np.arange(dist_mod._GRID + 1) / dist_mod._GRID
+    xs = np.concatenate([grid, np.nextafter(grid[1:], 0), np.nextafter(grid[:-1], 1)])
+    values, bounds = table._bounded_many(xs, False)
+    for x, v, b in zip(xs.tolist(), values.tolist(), bounds.tolist()):
+        exact = table._eval_exact(Fraction(x), False)
+        assert abs(v - exact) <= b if b else v == exact, x
+        assert table._bounded(x, False) == (v, b), x
+        if 0 < x < 1:
+            pv, pb = table._bounded(x, True)
+            exact = table._eval_exact(Fraction(x), True)
+            assert abs(pv - exact) <= pb if pb else pv == exact, x
+
+
+@pytest.mark.parametrize("params", BOUND_TABLES)
+def test_envelope_bound_is_never_below_the_running_sum_bound(params):
+    # where the envelope passes the 1e-9 rule its bound is returned, and it is
+    # at least the running-sum bound; elsewhere the running sum decides
+    table = quiet_table(params)
+    for derivative in (False, True):
+        poly = table._polynomial(derivative)
+        rng = np.random.default_rng(23)
+        xs = np.concatenate([rng.uniform(0, 1, 400), 2.0 ** -rng.uniform(1, 40, 100)])
+        values, bounds, ok = dist_mod._horner(poly, xs)
+        by_envelope = 0
+        for x, v, b, accepted in zip(xs.tolist(), values.tolist(), bounds.tolist(), ok.tolist()):
+            running = running_sum_bound(poly, x)
+            assert accepted == (running <= 1e-9 * abs(v)), x
+            assert b >= running, x
+            if b != running:
+                by_envelope += 1
+                assert accepted, x
+            assert dist_mod._horner(poly, x) == (v, b, accepted), x
+        assert by_envelope
+
+
+@pytest.mark.parametrize("params", BOUND_TABLES[:2])
+def test_envelope_makes_no_exact_fallback_of_its_own(monkeypatch, params):
+    # with every envelope cell at infinity, centre 0 runs the running sum on
+    # every point; the same calls then make as many exact fallbacks, and
+    # give the same values
+    def run():
+        table = fresh_table(params)
+        calls = []
+        exact = table._eval_exact
+        monkeypatch.setattr(table, "_eval_exact",
+                            lambda x, derivative: calls.append(x) or exact(x, derivative))
+        xs = np.random.default_rng(29).uniform(0, 1, 20_000)
+        values = table._bounded_many(xs, False)[0].tolist()
+        values += [table._bounded(x, derivative)[0]
+                   for x in np.random.default_rng(31).uniform(0, 1, 1_000).tolist()
+                   for derivative in (False, True)]
+        return len(calls), values
+
+    fallbacks, values = run()
+    monkeypatch.setattr(dist_mod._Poly, "cell", lambda self, i: math.inf)
+    monkeypatch.setattr(dist_mod._Poly, "filled",
+                        lambda self, index: np.full(dist_mod._GRID + 1, math.inf))
+    assert run() == (fallbacks, values)
+    assert fallbacks  # the pdf's far tail, at least
 
 
 @settings(max_examples=200, deadline=None)

@@ -118,17 +118,6 @@ def test_one_minus_ratio_is_formed_in_place():
     assert x_peak - ratio_peak < ratio.nbytes / 4
 
 
-def test_gram_matches_full_spectrum():
-    # nonzero eigenvalues of X X^T coincide with those of the n x n Gram X^T X
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        X = rng.standard_normal((7, 3))
-        big = np.linalg.eigvalsh(X @ X.T)
-        small = np.linalg.eigvalsh(X.T @ X)
-        assert np.allclose(big[-3:], small, rtol=1e-10)
-        assert np.allclose(big[:4], 0, atol=1e-10)
-
-
 def _flaky_eigvalsh(monkeypatch, fail_single):
     """eigvalsh that fails on every batch and on the fail_single-th one-sample call."""
     real = np.linalg.eigvalsh
@@ -235,6 +224,28 @@ def test_ks_distance_hand_case():
     assert ks_distance([0.9], lambda x: np.asarray(x)) == pytest.approx(0.9)
     with pytest.raises(ValueError):
         ks_distance([], lambda x: np.asarray(x))
+
+
+def test_ks_distance_in_place_matches_the_plain_formula():
+    # the in-place distance is bitwise the plain one, and leaves the model's
+    # values as the cdf returned them; the model and a lower one put the
+    # largest gap below and above the empirical cdf
+    table = get_table(auto_converged_params(25, 2, 2))
+    x = sample_extreme_ratio(McConfig(m=25, n=2, beta=2, replications=150_000, seed=8))
+    N = x.size
+    hi, lo = np.arange(1, N + 1) / N, np.arange(0, N) / N
+    for scale in (1.0, 0.9):
+        seen = {}
+
+        def cdf(xs):
+            seen["v"] = table.cdf_many(xs) * scale
+            seen["copy"] = seen["v"].copy()
+            return seen["v"]
+
+        got = ks_distance(x, cdf)
+        fx = seen["copy"]
+        assert got == float(np.maximum(np.abs(hi - fx), np.abs(fx - lo)).max())
+        assert np.array_equal(seen["v"], fx)
 
 
 def test_mc_matches_series_small_case():
