@@ -24,9 +24,6 @@ from typing import Dict, List, Optional
 from . import __version__
 from .dist import (DistParams, TruncationError, auto_converged_params,
                    get_table)
-from .esym import laplace_beltrami_row
-from .jack import (DegenerateBetaError, jack_expansion, jack_product,
-                   load_expansion_cache, save_expansion_cache)
 from .partitions import normalize
 
 TABLE1_ALPHAS = (0.01, 0.05, 0.50, 0.90, 0.95)
@@ -140,18 +137,21 @@ def _truncation(table) -> Dict:
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_jack_expand(args) -> str:
+    from .jack import jack_expansion
     poly = jack_expansion(args.kappa, args.beta, args.m)
     data = {_partition_key(lam): str(c) for lam, c in poly.terms.items()}
     return _emit_map(data, args)
 
 
 def _cmd_jack_product(args) -> str:
+    from .jack import jack_product
     expansion = jack_product(args.left, args.right, args.beta, args.m)
     data = {_partition_key(d): str(c) for d, c in expansion.terms}
     return _emit_map(data, args)
 
 
 def _cmd_lb_row(args) -> str:
+    from .esym import laplace_beltrami_row
     row = laplace_beltrami_row(args.nu, args.beta, args.m)
     data = {_partition_key(mu): str(c) for mu, c in row.entries}
     return _emit_map(data, args)
@@ -352,6 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache_path = (os.path.join(cache_dir, "jack_cache.json")
                   if cache_dir and getattr(args, "snapshot", False) else None)
     if cache_path and os.path.exists(cache_path):
+        from .jack import load_expansion_cache
         try:
             load_expansion_cache(cache_path)
         except (ValueError, OSError) as exc:
@@ -359,14 +360,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         text = args.handler(args)
-    except (ValueError, DegenerateBetaError, TruncationError,
-            ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, TruncationError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # the one file a handler writes: sim --dump
         return _write_failed(exc.filename, exc)
 
     if cache_path:
+        from .jack import save_expansion_cache
         try:
             os.makedirs(cache_dir, exist_ok=True)
             save_expansion_cache(cache_path)

@@ -12,14 +12,14 @@ numbers are never formed one by one.  The build runs forward instead (see
 `_ForwardBuild`): u_{0,t} = sum_{|tau|=t} [a_tau]_tau C_tau, each step
 multiplies every u_{k,t} by p_1 with the closed-form Pieri rule, and c[k,t]
 is scalar_k/t! times the delta functional L_0 applied to u_{k,t}.  The
-vectors u_{k,t} are integer numerators over one denominator, reduced by one
-gcd sweep per step; L_0 and the Pieri moves are integers over one
-denominator per weight, memoized for every table that needs that weight;
-each c[k,t] is the one Fraction its cell makes.  No c[k,t] depends on K,
-so one build per (m, n, beta, t_max) is extended in place and the table at
-K is its k <= K prefix: a convergence search that doubles K pays for one
-build to its final K.  That build is the only per-shape cache: it holds the
-series' ingredients, its exact leading constant and its tables by K.
+build's inner loops run over ints: u_{k,t}, L_0 and the Pieri moves are
+indexed by each partition's rank in `partitions_of`, over one denominator
+per vector or weight, and each c[k,t] is a reduced (numerator,
+denominator).  No c[k,t] depends on K, so one build per (m, n, beta,
+t_max) is extended in place and the table at K is its k <= K prefix: a
+convergence search pays for one build to its final K.  That build is the
+only per-shape cache: it holds the series' ingredients, its exact leading
+constant and its tables by K.
 
 Everything inside the double series is an exact rational, and so is
 almost all of the one leading constant: for beta in {1, 2, 4} its gamma
@@ -58,18 +58,16 @@ again, which is exact where c = 1.0.  The exact fallback writes the float
 x as p/2^e and runs Horner in fixed point, s = (s p >> e) + N_j 2^G, with
 G guard bits: s stays within len(N) + 1 of 2^G times the sum, and G grows
 until both ends of that interval round to the same float, or until no
-step truncates (see `_exact_value`).  It costs
-about 45 us a point at (105,2,1,K=100) with 152 powers on a 2-core Xeon
-with Python 3.11, where Horner over the full rationals took about 0.2 ms
-and a Fraction per step about 3 ms.
+step truncates (see `_exact_value`).
 
-Every exact pass reads one integer collapse of the table, made once when
-it is built: D, the numerators N_j = D * sum_{k+t=j} c[k,t] of the powers
-x^(rho+j), j = 0..K+t_max, and the numerators of row K.  The moment E[X^h]
-weighs c[k,t] by e/(e+h) with e = rho+k+t, which depends on k+t only, so
-its total is sum_j N_j e/(e+h) over the K+t_max+1 powers (in ints over the
-lcm of the reduced denominators of e/(e+h)) and the last K increment, which
-the monitor compares with it, is the same sum over row K.  The total leaves
+Every exact pass reads one integer collapse of the table, which extends
+that of the largest smaller table of its build: D, the numerators N_j = D
+* sum_{k+t=j} c[k,t] of the powers x^(rho+j), j = 0..K+t_max, and the
+numerators of row K.  The moment E[X^h] weighs c[k,t] by e/(e+h) with e =
+rho+k+t, which depends on k+t only, so its total is sum_j N_j e/(e+h) over
+the K+t_max+1 powers (in ints over the lcm of the reduced denominators of
+e/(e+h)) and the last K increment, which the monitor compares with it, is
+the same sum over row K.  The total leaves
 through `_scaled_float`, and the monitor is |increment / total|, one
 correctly rounded int division.  `summary_stats` forms the central moments
 from the same integer totals, exactly (see there).
@@ -88,7 +86,9 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from operator import mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .partitions import Partition, partitions_of
@@ -97,7 +97,7 @@ from .special import (
     gen_pochhammer_exact,
     multivariate_gamma,
     pi_exponent,
-    pieri_coefficients,
+    pieri_ratios,
 )
 
 if TYPE_CHECKING:
@@ -487,14 +487,13 @@ def _horner_value(coeffs: Sequence[float], y, out=None):
 
 def _taylor_shift(coeffs: Sequence[int], r: int) -> List[int]:
     """T with P(r + z) = sum_k T_k z^k for P(z) = sum_i coeffs[i] z^i, over
-    the integers: len(coeffs) - 1 synthetic divisions by z - r, about
-    len(coeffs)^2 / 2 multiply-adds."""
-    a = list(coeffs)
-    top = len(a) - 2
-    for i in range(top + 1):
-        for j in range(top, i - 1, -1):
-            a[j] += r * a[j + 1]
-    return a
+    the integers, by additions: Q(w) = P(r w) = sum_i coeffs[i] r^i w^i,
+    Q(1 + y) = sum_k S_k y^k by len(coeffs) - 1 synthetic divisions by w - 1
+    (running sums from the top), and T_k = S_k / r^k exactly."""
+    b = [c * r ** i for i, c in enumerate(coeffs)][::-1]
+    for n in range(len(b), 1, -1):
+        b[:n] = accumulate(b[:n])
+    return [t // r ** k for k, t in enumerate(reversed(b))]
 
 
 class _Centre(NamedTuple):
@@ -621,33 +620,38 @@ def _exact_value(shifted: Sequence[int], den: int, x: Fraction, power: int,
 
 def _pieri_moves(weight: int, beta: Fraction, nvars: int):
     """pieri(lam -> mu) for every partition lam of `weight` in at most nvars
-    parts, as ({lam: [(mu, numerator)]}, one common denominator)."""
-    coeffs = {lam: pieri_coefficients(lam, beta, nvars) for lam in partitions_of(weight, nvars)}
-    den = math.lcm(*(c.denominator for out in coeffs.values() for c in out.values()))
-    return {lam: [(mu, c.numerator * (den // c.denominator)) for mu, c in out.items()]
-            for lam, out in coeffs.items()}, den
+    parts, by rank: ([[(rank of mu, numerator)] per lam], one common
+    denominator, the number of partitions of weight + 1)."""
+    alpha = 2 / beta
+    a, b = alpha.numerator, alpha.denominator
+    ratios = [pieri_ratios(lam, a, b, nvars) for lam in partitions_of(weight, nvars)]
+    den = math.lcm(*(d for out in ratios for _, _, d in out))
+    rank = {mu: i for i, mu in enumerate(partitions_of(weight + 1, nvars))}
+    return ([[(rank[mu], n * (den // d)) for mu, n, d in out] for out in ratios],
+            den, len(rank))
 
 
-def _pieri_step(vec: Dict[Partition, int], den: int, moves, move_den: int
-                ) -> Tuple[Dict[Partition, int], int]:
-    """p_1 * sum_lam vec[lam]/den C_lam, given the `_pieri_moves` out of the
-    vector's weight, as integer numerators over one denominator in lowest
-    terms."""
-    out: Dict[Partition, int] = {}
-    for lam, v in vec.items():
-        for mu, c in moves[lam]:
-            out[mu] = out.get(mu, 0) + v * c
+def _pieri_step(vec: List[int], den: int, moves, move_den: int, size: int
+                ) -> Tuple[List[int], int]:
+    """p_1 * sum_lam vec[lam]/den C_lam, lam by rank, given the `_pieri_moves`
+    out of the vector's weight, as integer numerators over one denominator
+    in lowest terms."""
+    out = [0] * size
+    for v, targets in zip(vec, moves):
+        if v:
+            for mu, c in targets:
+                out[mu] += v * c
     den *= move_den
-    g = math.gcd(den, *out.values())
+    g = math.gcd(den, *out)
     if g > 1:
-        out = {mu: v // g for mu, v in out.items()}
+        out = [v // g for v in out]
         den //= g
     return out, den
 
 
 class _DeltaFunctional:
     """L_0(delta) = [a_num]_delta C_delta(I) / [a_den]_delta, weight by weight,
-    as integer numerators over their least common denominator.
+    as integer numerators by rank over their least common denominator.
 
     With alpha = 2/beta, C_delta(I) = alpha^(2w) w! [nvars beta/2]_delta /
     (h^*_delta h_*^delta) (see `special.jack_at_identity`), so L_0 is built
@@ -661,50 +665,42 @@ class _DeltaFunctional:
     alpha j (1 + alpha (j-1)) is what it does to the hooks of row l (they
     telescope) and of itself, and q(d, a) = (d + alpha(a+1)) (d+1 + alpha a)
     / ((d-1 + alpha(a+1)) (d + alpha a)) is the change of the two hooks of
-    the cell (r, j), whose leg grows from d-1 to d.
+    the cell (r, j), whose leg grows from d-1 to d.  With alpha = A/B each
+    factor is a ratio of integers, with a positive denominator, times
+    powers of A and B that cancel; each level is reduced once.
     """
 
     def __init__(self, spec: _SeriesSpec):
         self.spec = spec
-        self.levels: List[Tuple[Dict[Partition, int], int]] = [({(): 1}, 1)]
-        self._box: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (l, j) -> factor
-        self._leg: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (d, a) -> q(d, a)
+        self.levels: List[Tuple[List[int], int]] = [([1], 1)]
 
-    def at(self, weight: int) -> Tuple[Dict[Partition, int], int]:
+    def at(self, weight: int) -> Tuple[List[int], int]:
         s = self.spec
-        box, leg = self._box, self._leg
         while len(self.levels) <= weight:
-            alpha, half = 2 / s.beta, s.beta / 2
+            A, B = 2 * s.beta.denominator, s.beta.numerator
+            an, ad, bn, bd = (*s.a_num.as_integer_ratio(), *s.a_den.as_integer_ratio())
             w = len(self.levels)
             prev, prev_den = self.levels[-1]
-            factors = {}
+            parents = {p: i for i, p in enumerate(partitions_of(w - 1, s.nvars))}
+            factors = []
             for delta in partitions_of(w, s.nvars):
                 l, j = len(delta), delta[-1]
-                if (l, j) not in box:
-                    shift = j - 1 - (l - 1) * half
-                    f = (alpha * (s.a_num + shift) * (s.nvars * half + shift) /
-                         (j * (1 + alpha * (j - 1)) * (s.a_den + shift)))
-                    box[(l, j)] = f.numerator, f.denominator
-                num, den = box[(l, j)]
-                num *= w
+                x = A * (j - 1) - (l - 1) * B  # x(a) = a + x/A
+                num = w * (A * an + x * ad) * (s.nvars * B + x) * bd
+                den = ad * j * (B + A * (j - 1)) * (A * bn + x * bd)
                 for r in range(l - 1):
-                    da = (l - 1 - r, delta[r] - j)
-                    if da not in leg:
-                        d, a = da
-                        q = ((d + alpha * (a + 1)) * (d + 1 + alpha * a) /
-                             ((d - 1 + alpha * (a + 1)) * (d + alpha * a)))
-                        leg[da] = q.numerator, q.denominator
-                    num *= leg[da][1]
-                    den *= leg[da][0]
+                    d, a = l - 1 - r, delta[r] - j
+                    num *= (B * (d - 1) + A * (a + 1)) * (B * d + A * a)
+                    den *= (B * d + A * (a + 1)) * (B * (d + 1) + A * a)
                 parent = delta[:-1] + (j - 1,) if j > 1 else delta[:-1]
-                factors[delta] = prev[parent] * num, den
-            # L_0(delta) = factors[delta] / prev_den; put them over one
+                factors.append((prev[parents[parent]] * num, den))
+            # L_0(delta) = its factor / prev_den; put the factors over one
             # denominator and take out what every numerator shares with it
-            common = math.lcm(*(d for _, d in factors.values()))
-            nums = {delta: n * (common // d) for delta, (n, d) in factors.items()}
+            common = math.lcm(*(d for _, d in factors))
+            nums = [n * (common // d) for n, d in factors]
             common *= prev_den
-            g = math.gcd(common, *nums.values())
-            self.levels.append(({delta: n // g for delta, n in nums.items()}, common // g))
+            g = math.gcd(common, *nums)
+            self.levels.append(([n // g for n in nums], common // g))
         return self.levels[weight]
 
 
@@ -723,32 +719,32 @@ class _ForwardBuild:
         c[k,t]    = scalar_k / t! * <L_0, u_{k,t}>
 
     with scalar_k = (gamma_arg)_k / (base^k k!) and L_0 from
-    `_DeltaFunctional`.  Each u_{k,t} is a dict of integer numerators over
-    one denominator, and each cell makes one Fraction.  No c[k,t] depends on
-    K, so the table at K is the k <= K prefix of `rows`.  The build also
-    owns the leading constant of its tables and, in `tables`, the tables
-    that `get_table` has handed out, by K.
+    `_DeltaFunctional`.  Each u_{k,t} is a list of integer numerators, by
+    the rank of tau in `partitions_of`, over one denominator; `rows[k]`
+    holds each nonzero c[k,t] as a reduced (numerator, denominator), and
+    the table at K is the k <= K prefix of `rows`.  The build also owns the
+    leading constant of its tables and, in `tables`, the tables that
+    `get_table` has handed out, by K, with their collapses.
     """
 
     def __init__(self, m: int, n: int, beta: int, t_max: int):
         self.spec = spec = _spec(m, n, beta, t_max)
         self.const = _leading(*_series_constant(m, n, beta), n)
         self.tables: Dict[int, SeriesTable] = {}
-        self.rows: List[Dict[int, Fraction]] = []  # rows[k]: {t: c[k,t]}, c != 0
+        self.rows: List[Dict[int, Tuple[int, int]]] = []  # rows[k]: {t: c[k,t]}, c != 0
         self._scalar = Fraction(1)
         self._moves = _PIERI_MOVES.setdefault((spec.beta, spec.nvars), {})
         self._ell = _DELTA_FUNCTIONAL.setdefault(
             (spec.beta, spec.nvars, spec.a_num, spec.a_den), _DeltaFunctional(spec))
         # (t, numerators, denominator) of u_{k,t} for the latest k; a t whose
         # [a_tau]_tau all vanish contributes nothing and has no vector
-        self._vectors: List[Tuple[int, Dict[Partition, int], int]] = []
+        self._vectors: List[Tuple[int, List[int], int]] = []
         for t in range(spec.t_max + 1):
-            u = {tau: v for tau in partitions_of(t, spec.nvars)
-                 if (v := gen_pochhammer_exact(spec.a_tau, tau, spec.beta))}
-            if u:
-                den = math.lcm(*(v.denominator for v in u.values()))
-                self._vectors.append(
-                    (t, {tau: v.numerator * (den // v.denominator) for tau, v in u.items()}, den))
+            u = [gen_pochhammer_exact(spec.a_tau, tau, spec.beta)
+                 for tau in partitions_of(t, spec.nvars)]
+            if any(u):
+                den = math.lcm(*(v.denominator for v in u))
+                self._vectors.append((t, [v.numerator * (den // v.denominator) for v in u], den))
 
     def extend(self, K: int) -> None:
         s = self.spec
@@ -759,12 +755,16 @@ class _ForwardBuild:
                                  for t, u, den in self._vectors]
                 self._scalar *= (s.gamma_arg + k - 1) / (s.base * k)
             sn, sd = self._scalar.numerator, self._scalar.denominator
-            row = {}
+            # L_0 up to the heaviest vector's weight, once per row
+            self._ell.at(k + self._vectors[-1][0] if self._vectors else 0)
+            levels, row = self._ell.levels, {}
             for t, u, den in self._vectors:
-                ell, ell_den = self._ell.at(k + t)
-                inner = sum(ell[delta] * v for delta, v in u.items())
+                ell, ell_den = levels[k + t]
+                inner = sum(map(mul, ell, u)) * sn
                 if inner:
-                    row[t] = Fraction(inner * sn, den * ell_den * sd * factorial(t))
+                    d = den * ell_den * sd * factorial(t)
+                    g = math.gcd(inner, d)
+                    row[t] = inner // g, d // g
             self.rows.append(row)
 
     def _moves_out_of(self, weight: int):
@@ -772,18 +772,38 @@ class _ForwardBuild:
             self._moves[weight] = _pieri_moves(weight, self.spec.beta, self.spec.nvars)
         return self._moves[weight]
 
+    def collapse(self, K: int) -> Tuple[int, List[int], List[Tuple[int, int]]]:
+        """(D, N, last) of the table at K: the lcm D of the denominators of
+        its c[k,t], N_j = D sum_{k+t=j} c[k,t] and the (t, D c[K,t]); the
+        largest table below K gives its own, rescaled once to the new D."""
+        self.extend(K)
+        below = [k for k in self.tables if k < K]
+        start, d, nums = 0, 1, []
+        if below:
+            prev = self.tables[max(below)]
+            start, d, nums = prev.K + 1, prev._denominator, prev._nums
+        rows = self.rows[start:K + 1]
+        D = math.lcm(d, *(den for row in rows for _, den in row.values()))
+        nums = [v * (D // d) for v in nums]
+        nums += [0] * (K + self.spec.t_max + 1 - len(nums))
+        for k, row in enumerate(rows, start):
+            for t, (v, den) in row.items():
+                nums[k + t] += v * (D // den)
+        return D, nums, [(t, v * (D // den)) for t, (v, den) in self.rows[K].items()]
+
 
 class _Cells(Mapping):
     """{(k, t): c[k,t]} over the rows of a build, zeros left out: a read-only
-    view, so a table keeps no copy of its cells."""
+    view that makes each Fraction when it is read, so a table keeps no copy
+    of its cells."""
 
-    def __init__(self, rows: List[Dict[int, Fraction]]):
+    def __init__(self, rows: List[Dict[int, Tuple[int, int]]]):
         self._rows = rows
 
     def __getitem__(self, key):
         k, t = key
         if 0 <= k < len(self._rows) and t in self._rows[k]:
-            return self._rows[k][t]
+            return Fraction(*self._rows[k][t])
         raise KeyError(key)
 
     def __iter__(self):
@@ -798,13 +818,11 @@ class SeriesTable:
 
     The cumulative distribution is   const * sum_{k,t} c[k,t] * x^(rho+k+t),
     the density is the term-by-term derivative, and the h-th moment is
-    const * sum c[k,t] * (rho+k+t)/(rho+k+t+h).  All c[k,t] are Fractions:
-    the rows k <= K of `build`, extended to K first if it is shorter, which
-    `coeffs` shows as {(k, t): c[k,t]}.  Past c[k,t], every term depends on
-    k+t only, so one pass collapses the cells by power j = k+t into integer
-    numerators over one common denominator and keeps the numerators of row
-    K for the monitor; `collapsed`, the polynomials and the moments read
-    only those.
+    const * sum c[k,t] * (rho+k+t)/(rho+k+t+h).  The c[k,t] are the rows k
+    <= K of `build`, which `coeffs` shows as {(k, t): Fraction}.  Past
+    c[k,t], every term depends on k+t only, so `collapsed`, the polynomials
+    and the moments read only the build's integer collapse of the cells by
+    power j = k+t (see `_ForwardBuild.collapse`).
     """
 
     def __init__(self, build: _ForwardBuild, K: int):
@@ -812,21 +830,8 @@ class SeriesTable:
         self.K = K
         self.const = build.const
         self.rho = build.spec.rho
-        build.extend(K)
-        rows = build.rows[:K + 1]
-        self.coeffs = _Cells(rows)
-        # one integer pass over the cells: the common denominator D of every
-        # c[k,t], the numerators N_j = D * sum_{k+t=j} c[k,t] of x^(rho+j), and
-        # the (t, c[K,t] * D) of row K; every exact pass reads these alone
-        d = self._denominator = math.lcm(*(c.denominator for row in rows for c in row.values()))
-        self._nums = [0] * (K + build.spec.t_max + 1)
-        self._last_row: List[Tuple[int, int]] = []
-        for k, row in enumerate(rows):
-            for t, c in row.items():
-                v = c.numerator * (d // c.denominator)
-                self._nums[k + t] += v
-                if k == K:
-                    self._last_row.append((t, v))
+        self._denominator, self._nums, self._last_row = build.collapse(K)
+        self.coeffs = _Cells(build.rows[:K + 1])
         self._collapsed: Optional[List[Fraction]] = None
         self._polys: Dict[bool, _Poly] = {}
         # the lazy Taylor centres: integer shifts by r, float centres by
@@ -1061,9 +1066,9 @@ class SeriesTable:
             # sum_j N_j w_j / (D L) over the powers, with L the lcm of the reduced
             # denominators of e/(e+h) and w_j = L e/(e+h); the last K increment
             # is the same sum over row K
-            ratios = [Fraction(self.rho + j, self.rho + j + h) for j in range(len(self._nums))]
-            lcm = math.lcm(*(r.denominator for r in ratios))
-            weights = [r.numerator * (lcm // r.denominator) for r in ratios]
+            es = range(self.rho, self.rho + len(self._nums))
+            lcm = math.lcm(*((e + h) // math.gcd(e, h) for e in es))
+            weights = [e * lcm // (e + h) for e in es]
             total = sum(n * w for n, w in zip(self._nums, weights))
             increment = sum(v * weights[self.K + t] for t, v in self._last_row)
             self._moments[h] = (total, self._denominator * lcm,

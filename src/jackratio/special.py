@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .partitions import (Partition, lower_hook_product, normalize,
                          upper_hook_product)
@@ -130,13 +130,26 @@ def jack_at_identity(kappa: Partition, beta, m: int) -> Fraction:
 
 
 def pieri_coefficients(lam: Partition, beta, m: int) -> Dict[Partition, Fraction]:
-    """Coefficient of each C_mu in (x_1 + ... + x_m) C_lam, in m variables.
+    """Coefficient of each C_mu in (x_1 + ... + x_m) C_lam, in m variables:
+    the ratios of `pieri_ratios` as Fractions."""
+    lam = normalize(lam)
+    alpha = _alpha(beta)
+    if len(lam) > m:
+        raise ValueError(f"C_{lam} vanishes in {m} variables")
+    return {mu: Fraction(num, den)
+            for mu, num, den in pieri_ratios(lam, alpha.numerator, alpha.denominator, m)}
 
-    mu is lam plus one box (i, j) in at most m rows.  The coefficient is
-    h^*_mu / (alpha (|lam|+1) h^*_lam) times prod_{r<i} b_mu(r,j)/b_lam(r,j),
-    b(s) = (alpha a + l + 1)/(alpha (a+1) + l) in the arm a and leg l of s
-    (Stanley 1989).  Only the hooks in row i and column j change, and over
-    column j the hook ratio cancels against the b's, leaving
+
+def pieri_ratios(lam: Partition, a: int, b: int, m: int) -> List[Tuple[Partition, int, int]]:
+    """(mu, num, den) with pieri(lam -> mu) = num/den > 0, not reduced, for
+    each mu in at most m rows, given a partition lam in at most m rows and
+    alpha = a/b in lowest terms.
+
+    mu is lam plus one box (i, j).  The coefficient is h^*_mu / (alpha
+    (|lam|+1) h^*_lam) times prod_{r<i} b_mu(r,j)/b_lam(r,j), b(s) = (alpha
+    a + l + 1)/(alpha (a+1) + l) in the arm a and leg l of s (Stanley
+    1989).  Only the hooks in row i and column j change, and over column j
+    the hook ratio cancels against the b's, leaving
 
         1/(|lam|+1) * prod_{c<j} (l + alpha(a+2)) / (l + alpha(a+1))
                     * prod_{r<i} (alpha a + i-r+1) / (alpha a + i-r)
@@ -146,13 +159,8 @@ def pieri_coefficients(lam: Partition, beta, m: int) -> Dict[Partition, Fraction
     lam_{i+L+1} < c <= lam_{i+L}, and there the product over c telescopes
     to (L + alpha(j - lam_{i+L+1})) / (L + alpha(j - lam_{i+L})).
     """
-    lam = normalize(lam)
-    alpha = _alpha(beta)
-    if len(lam) > m:
-        raise ValueError(f"C_{lam} vanishes in {m} variables")
-    a, b = alpha.numerator, alpha.denominator
     size = sum(lam) + 1
-    out: Dict[Partition, Fraction] = {}
+    out = []
     for i in range(1, min(len(lam) + 1, m) + 1):
         row = lam[i - 1] if i <= len(lam) else 0
         if i > 1 and lam[i - 2] == row:
@@ -170,6 +178,5 @@ def pieri_coefficients(lam: Partition, beta, m: int) -> Dict[Partition, Fraction
             arm = lam[r - 1] - j
             num *= a * arm + b * (i - r + 1)
             den *= a * arm + b * (i - r)
-        mu = lam[:i - 1] + (j,) + lam[i:]
-        out[mu] = Fraction(num, den)
+        out.append((lam[:i - 1] + (j,) + lam[i:], num, den))
     return out

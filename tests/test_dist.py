@@ -13,7 +13,8 @@ from scipy.integrate import quad
 
 import jackratio.dist as dist_mod
 import quadrature_oracle
-from backward_build import backward_coeffs, delta_functional, rising_factorial
+from backward_build import (backward_coeffs, cellwise_pieri_coefficients, delta_functional,
+                            rising_factorial)
 from jackratio import esym, jack
 from jackratio.dist import (DistParams, LeadingConstant, SeriesTable, TruncationError,
                             TruncationWarning, auto_converged_params,
@@ -525,9 +526,25 @@ def test_delta_functional_matches_closed_forms():
         spec = dist_mod._spec(m, n, beta, 0)
         for w in range(14):
             nums, den = dist_mod._DeltaFunctional(spec).at(w)
-            want = {d: delta_functional(d, spec) for d in partitions_of(w, spec.nvars)}
-            assert {d: Fraction(v, den) for d, v in nums.items()} == want, (m, n, beta, w)
-            assert math.gcd(den, *nums.values()) == 1
+            deltas = partitions_of(w, spec.nvars)
+            assert len(nums) == len(deltas)
+            want = {d: delta_functional(d, spec) for d in deltas}
+            assert {d: Fraction(v, den) for d, v in zip(deltas, nums)} == want, (m, n, beta, w)
+            assert math.gcd(den, *nums) == 1
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_integer_pieri_levels_match_cellwise_oracle(beta):
+    # every move of a level, by rank over its denominator, is the oracle's rational
+    for nvars in range(1, 6):
+        for w in range(9):
+            moves, den, size = dist_mod._pieri_moves(w, Fraction(beta), nvars)
+            lams, mus = partitions_of(w, nvars), partitions_of(w + 1, nvars)
+            assert len(moves) == len(lams) and size == len(mus)
+            for lam, targets in zip(lams, moves):
+                got = {mus[mu]: Fraction(c, den) for mu, c in targets}
+                assert len(got) == len(targets)
+                assert got == cellwise_pieri_coefficients(lam, beta, nvars), (beta, nvars, lam)
 
 
 def clear_build_caches():
@@ -546,6 +563,24 @@ def test_extended_table_equals_cold_build(m, n, beta, K):
     assert extended is not cold
     assert extended.coeffs == cold.coeffs
     assert extended.diagnostics == cold.diagnostics
+
+
+@pytest.mark.parametrize("m, n, beta", [(10, 3, 1), (105, 2, 1)])
+def test_extended_collapse_equals_cold_collapse(m, n, beta):
+    # K = 50, then 25 (below it: a collapse of its own), then 100 (extends 50's)
+    clear_build_caches()
+    warm = {K: quiet_table(DistParams(m=m, n=n, beta=beta, K=K)) for K in (50, 25, 100)}
+    for K, table in warm.items():
+        clear_build_caches()
+        cold = quiet_table(DistParams(m=m, n=n, beta=beta, K=K))
+        assert table is not cold
+        assert table._denominator == cold._denominator
+        assert table._nums == cold._nums
+        assert table._last_row == cold._last_row
+        assert table.diagnostics == cold.diagnostics
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert [table.moment(h) for h in range(5)] == [cold.moment(h) for h in range(5)]
 
 
 def count_pieri_steps(monkeypatch):
@@ -587,8 +622,9 @@ def test_one_build_owns_the_tables_of_a_search():
     for K, table in build.tables.items():
         assert table.build is build and table.K == K
         assert table.const is build.const
-        # the cells are the build's own, not a copy
-        assert all(table.coeffs[(k, t)] is c for k, row in enumerate(build.rows[:K + 1])
+        # the cells are a view of the build's own rows, not a copy
+        assert all(row is build.rows[k] for k, row in enumerate(table.coeffs._rows))
+        assert all(table.coeffs[(k, t)] == Fraction(*c) for k, row in enumerate(build.rows[:K + 1])
                    for t, c in row.items())
         assert len(table.coeffs) == sum(map(len, build.rows[:K + 1]))
     assert get_table(params) is build.tables[100]

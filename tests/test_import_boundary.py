@@ -1,4 +1,5 @@
-"""numpy loads only where arrays are used: the sampler and `cdf_many`.
+"""numpy loads only where arrays are used: the sampler and `cdf_many`; the
+E-basis layers (`jack`, `esym`) only where the symbolic commands use them.
 
 Each check runs in a fresh interpreter, because the test process itself has
 numpy loaded already.
@@ -52,6 +53,20 @@ def test_commands_without_arrays_do_not_import_numpy(argv):
         f"assert jackratio.cli.main({argv!r}) == 0\n"
         "print('numpy' in sys.modules)\n")
     assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "quantile", "--m", "10", "--n", "3", "--K", "10", "--alpha", "0.5"],
+    ["dist", "fig1", "--m-grid", "5:25:20"],
+])
+def test_dist_commands_do_not_import_the_symbolic_layers(argv):
+    out = run_python(
+        "import sys, warnings\n"
+        "warnings.simplefilter('ignore')\n"
+        "import jackratio.cli\n"
+        f"assert jackratio.cli.main({argv!r}) == 0\n"
+        "print([m for m in ('jackratio.jack', 'jackratio.esym') if m in sys.modules])\n")
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_sim_still_samples():
