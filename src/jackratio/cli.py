@@ -3,7 +3,8 @@
 Symbolic subcommands (jack expand, jack product, lb-row) print bare maps from
 partitions to exact rationals, serialized as "p/q" strings.  Distribution and
 simulation subcommands print an envelope with the echoed command, parameters,
-rows, and truncation metadata (JSON), or the rows alone (CSV).
+rows, and metadata (JSON): the truncation of each table, or for `sim` the
+draws the sampler sent to `eigvalsh` and resampled.  CSV prints the rows alone.
 
 Set JACKRATIO_CACHE_DIR to persist the memoized Jack expansion tables between
 invocations of `jack expand` and `jack product`, the commands that build
@@ -203,11 +204,10 @@ def _cmd_dist_fig1(args) -> str:
 
 
 def _cmd_sim(args) -> str:
-    from .mc import (McConfig, empirical_moments, empirical_quantile,
-                     sample_extreme_ratio)
+    from .mc import McConfig, _sample, empirical_moments, empirical_quantile
     cfg = McConfig(m=args.m, n=args.n, beta=args.beta, replications=args.reps,
                    seed=args.seed, statistic=args.statistic.replace("-", "_"))
-    samples = sample_extreme_ratio(cfg)
+    samples, counts = _sample(cfg)
     if args.dump:
         import numpy as np
         np.save(args.dump, samples)
@@ -220,7 +220,7 @@ def _cmd_sim(args) -> str:
     else:
         rows = [{"alpha": a, "F_sim_inv": empirical_quantile(samples, a)}
                 for a in args.alpha]
-    return _emit_envelope("sim", params, rows, args)
+    return _emit_envelope("sim", params, rows, args, {"sampler": counts})
 
 
 def _params_block(params: DistParams) -> Dict:
@@ -360,7 +360,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         text = args.handler(args)
-    except (ValueError, TruncationError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, TruncationError, ZeroDivisionError, OverflowError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # the one file a handler writes: sim --dump

@@ -18,8 +18,17 @@ g = d_0 + e_0 - d_1, 2 l_max = s = d_0 + e_0 + d_1 + sqrt(g^2 + 4 e_0 d_1),
 and det T = det(B)^2 = d_0 d_1 gives l_min = det T / l_max, so
 l_min/l_max = 4 d_0 d_1 / s^2.  Every sum in it has nonnegative terms, so
 nothing cancels and the ratio is accurate to a few ulps relative even where
-l_min is tiny; a dense solver is off by O(eps l_max) absolutely there.  For
-n >= 3 the extreme eigenvalues come from batched `numpy.linalg.eigvalsh`.
+l_min is tiny; a dense solver is off by O(eps l_max) absolutely there.
+
+For n = 3 the extreme eigenvalues come from the coefficients of det(T - lI),
+which are sums of nonnegative terms in the five variates: l_max from the
+trigonometric form of the cubic, l_min from the quadratic left after it,
+each polished by one Newton step.  Sturm counts (the negative LDL^T pivots
+of T - sigma I) certify that a bracket of 16 eps relative about each holds
+the smallest or the largest eigenvalue and no other.  A draw they do not
+certify, about one in 10^5 at m = 10 and more where l_min/l_max is below
+about 1e-3 or two eigenvalues nearly meet, goes to batched
+`numpy.linalg.eigvalsh`, as every draw does for n >= 4.
 
 Reproducibility: replications are generated in fixed-size chunks, each from
 its own child of numpy's SeedSequence tree, with one chi-square call per
@@ -35,7 +44,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -77,15 +86,166 @@ def _degrees_of_freedom(cfg: McConfig) -> np.ndarray:
     return cfg.beta * np.concatenate([cfg.m - i, cfg.n - 1 - i[:-1]]).astype(float)
 
 
-def _ratios(v: np.ndarray, n: int) -> np.ndarray:
-    """l_min/l_max of B B^T for each row (d_0..d_{n-1}, e_0..e_{n-2}) of v."""
+# Relative half-width of the Sturm-count brackets that certify the n = 3
+# closed form: 16 eps leaves no fallback in 300 000 draws at (25,3,1) and
+# 0.0003% at (10,3,1); 4 eps would send 0.07% there to eigvalsh.
+_DELTA = 16 * np.finfo(float).eps
+
+
+def _ratios_n2(v: np.ndarray, out: np.ndarray) -> None:
+    d0, d1, e0 = v[:, 0], v[:, 1], v[:, 2]
+    g = d0 + e0 - d1
+    s = d0 + e0 + d1 + np.sqrt(g * g + 4.0 * e0 * d1)  # s = 2 l_max
+    np.divide(4.0 * d0 * d1, s * s, out=out)  # l_min = det T / l_max, det T = d0 d1
+    # rounding can leave r an ulp above 1 where d0 ~ d1 and e0 ~ 0
+    np.minimum(out, 1.0, out=out)
+
+
+def _newton_step(lam, a0, a1, a2, b0, b1) -> None:
+    """One Newton step on det(T - lam I), in place on lam.
+
+    P_1 = a_0 - lam, P_2 = (a_1 - lam) P_1 - b_0 and
+    P_3 = (a_2 - lam) P_2 - b_1 P_1 are the leading minors of T - lam I,
+    and P_3' = (a_2 - lam) P_2' - P_2 + b_1 with P_2' = -(P_1 + a_1 - lam).
+    """
+    u0 = a0 - lam
+    u1 = a1 - lam
+    P = u0 * u1
+    P -= b0
+    dP = u0 + u1
+    np.negative(dP, out=dP)
+    np.subtract(a2, lam, out=u1)
+    dP *= u1
+    dP -= P
+    dP += b1
+    P *= u1
+    np.multiply(b1, u0, out=u0)
+    P -= u0
+    P /= dP
+    lam -= P
+
+
+def _sturm_count(sigma, a0, a1, a2, b0, b1) -> np.ndarray:
+    """Negative LDL^T pivots of T - sigma I, or -1 where a pivot is nan.
+
+    A zero pivot q divides to an infinite next pivot of the sign a tiny
+    positive q would give; only b_i = 0 beside q = 0 gives 0/0, and that
+    row is not counted.  In floating point the count is exact for a T' within a few
+    eps * ||T|| of T (Demmel, Dhillon and Ren 1995).
+    """
+    q0 = a0 - sigma
+    q1 = a1 - sigma
+    t = b0 / q0
+    q1 -= t
+    np.divide(b1, q1, out=t)
+    q2 = a2 - sigma
+    q2 -= t
+    count = (q0 < 0).view(np.int8) + (q1 < 0).view(np.int8)
+    count += (q2 < 0).view(np.int8)
+    count[q2 != q2] = -1
+    return count
+
+
+def _ratios_n3(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """l_min/l_max into out where certified; the indices of the other rows.
+
+    T has diagonal a = (d0 + e0, d1 + e1, d2) and squared off-diagonal
+    b = (e0 d1, e1 d2).  l_max comes from the trigonometric form of its
+    cubic, with p = tr((T - mI)^2)/6 a sum of squares about the mean m.
+    The other two roots have product c0/l_max and sum (c1 - c0/l_max)/l_max,
+    where c1 = d0(d1 + e1 + d2) + e0(e1 + d2) + d1 d2 and c0 = d0 d1 d2 are
+    sums of nonnegative terms (Cauchy-Binet), and l_min is the smaller root
+    of that quadratic without cancellation.  One Newton step polishes each.
+    A row is certified when T - sigma I has exactly 0, 1, 2 and 3 negative
+    pivots at sigma = l_min (1 -/+ delta) and l_max (1 -/+ delta): then each
+    bracket holds its eigenvalue and no other.
+    """
+    d0, d1, d2, e0, e1 = v.T
+    a0 = d0 + e0
+    a1 = d1 + e1
+    b0 = e0 * d1
+    b1 = e1 * d2
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        m = a0 + a1
+        m += d2
+        m /= 3
+        x0, x1, x2 = a0 - m, a1 - m, d2 - m
+        p = x0 * x0
+        p += x1 * x1
+        p += x2 * x2
+        t = b0 + b1
+        t *= 2
+        p += t
+        p /= 6
+        root_p = np.sqrt(p, out=p)
+        c = x0 * x1  # det(T - mI) = 2 p^(3/2) cos(3 phi)
+        c *= x2
+        np.multiply(x0, b1, out=t)
+        c -= t
+        np.multiply(x2, b0, out=t)
+        c -= t
+        del x0, x1, x2
+        np.multiply(root_p, root_p, out=t)
+        t *= root_p
+        t *= 2
+        c /= t
+        np.clip(c, -1.0, 1.0, out=c)
+        np.arccos(c, out=c)
+        c /= 3
+        np.cos(c, out=c)  # l_max = m + 2 sqrt(p) cos(phi)
+        c *= root_p
+        c *= 2
+        lmax = m
+        lmax += c
+        del c, p, root_p
+        _newton_step(lmax, a0, a1, d2, b0, b1)
+
+        s = d1 + e1  # s = c1 - c0/l_max, then / l_max
+        s += d2
+        s *= d0
+        np.add(e1, d2, out=t)
+        t *= e0
+        s += t
+        np.multiply(d1, d2, out=t)
+        s += t
+        prod = d0 * d1  # c0/l_max, the product of the two smaller roots
+        prod *= d2
+        prod /= lmax
+        s -= prod
+        s /= lmax
+        np.multiply(s, s, out=t)  # l_min = 2 prod / (s + sqrt(s^2 - 4 prod))
+        prod *= 2
+        t -= prod
+        t -= prod
+        np.maximum(t, 0.0, out=t)
+        np.sqrt(t, out=t)
+        t += s
+        lmin = np.divide(prod, t, out=prod)
+        del s, t
+        _newton_step(lmin, a0, a1, d2, b0, b1)
+
+        certified = np.ones(len(v), dtype=bool)
+        want = 0
+        for lam in (lmin, lmax):
+            for factor in (1.0 - _DELTA, 1.0 + _DELTA):
+                certified &= _sturm_count(lam * factor, a0, a1, d2, b0, b1) == want
+                want += 1
+    np.divide(lmin, lmax, out=out)
+    return np.flatnonzero(~certified)
+
+
+def _closed_form(v: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Write the closed-form ratios into out; return the rows left to eigvalsh."""
     if n == 2:
-        d0, d1, e0 = v[:, 0], v[:, 1], v[:, 2]
-        g = d0 + e0 - d1
-        s = d0 + e0 + d1 + np.sqrt(g * g + 4.0 * e0 * d1)  # s = 2 l_max
-        r = 4.0 * d0 * d1 / (s * s)  # l_min = det T / l_max, det T = d0 d1
-        # rounding can leave r an ulp above 1 where d0 ~ d1 and e0 ~ 0
-        return np.minimum(r, 1.0, out=r)
+        _ratios_n2(v, out)
+        return np.empty(0, dtype=np.intp)
+    if n == 3:
+        return _ratios_n3(v, out)
+    return np.arange(len(v))
+
+
+def _eigvalsh_ratios(v: np.ndarray, n: int) -> np.ndarray:
+    """l_min/l_max of B B^T by batched `eigvalsh`, clamped to [0, 1]."""
     d, e = v[:, :n], v[:, n:]
     T = np.zeros((len(v), n * n))  # row-major: T_ij sits in column i*n + j
     T[:, ::n + 1] = d
@@ -93,43 +253,62 @@ def _ratios(v: np.ndarray, n: int) -> np.ndarray:
     # the subdiagonal T_{i+1,i}; eigvalsh reads the lower triangle only
     T[:, n::n + 1] = np.sqrt(e * d[:, 1:])
     eigs = np.linalg.eigvalsh(T.reshape(-1, n, n))
-    return eigs[:, 0] / eigs[:, -1]
+    # eigvalsh is off by O(eps l_max), which can leave a tiny l_min negative
+    return np.clip(eigs[:, 0] / eigs[:, -1], 0.0, 1.0)
+
+
+def _ratios(v: np.ndarray, n: int) -> np.ndarray:
+    """l_min/l_max of B B^T for each row (d_0..d_{n-1}, e_0..e_{n-2}) of v."""
+    r = np.empty(len(v))
+    todo = _closed_form(v, n, r)
+    if todo.size:
+        r[todo] = _eigvalsh_ratios(v[todo], n)
+    return r
+
+
+def _sample(cfg: McConfig) -> Tuple[np.ndarray, Dict[str, int]]:
+    """The samples of `sample_extreme_ratio` and what they cost the sampler.
+
+    The counts are `eigvalsh`, the draws the closed form left to the dense
+    solver, and `resampled`, the draws replaced after it failed on them.
+    """
+    R = cfg.replications
+    df = _degrees_of_freedom(cfg)
+    out = np.empty(R, dtype=float)  # before any per-chunk work: a huge R fails here
+    counts = {"eigvalsh": 0, "resampled": 0}
+    for i, pos in enumerate(range(0, R, CHUNK)):
+        # the i-th child of SeedSequence(seed), made when its chunk runs
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        count = min(CHUNK, R - pos)
+        v = rng.chisquare(df, size=(count, df.size))
+        r = out[pos:pos + count]
+        todo = _closed_form(v, cfg.n, r)
+        counts["eigvalsh"] += todo.size
+        if not todo.size:
+            continue
+        try:
+            r[todo] = _eigvalsh_ratios(v[todo], cfg.n)
+        except np.linalg.LinAlgError:
+            # solve one by one so a single bad draw does not poison the chunk
+            for j in todo:
+                while True:
+                    try:
+                        r[j] = _ratios(v[j:j + 1], cfg.n)[0]
+                        break
+                    except np.linalg.LinAlgError:
+                        counts["resampled"] += 1
+                        v[j] = rng.chisquare(df)
+    if counts["resampled"] > 1e-4 * R:
+        warnings.warn(f"{counts['resampled']} replications resampled after eigensolver "
+                      f"failures (more than 0.01% of {R})")
+    if cfg.statistic == "one_minus_ratio":
+        np.subtract(1.0, out, out=out)
+    return out, counts
 
 
 def sample_extreme_ratio(cfg: McConfig) -> np.ndarray:
     """R samples of the configured spectral statistic, deterministically seeded."""
-    R = cfg.replications
-    df = _degrees_of_freedom(cfg)
-    n_chunks = (R + CHUNK - 1) // CHUNK
-    children = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    out = np.empty(R, dtype=float)
-    failures = 0
-    pos = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        count = min(CHUNK, R - pos)
-        v = rng.chisquare(df, size=(count, df.size))
-        try:
-            r = _ratios(v, cfg.n)
-        except np.linalg.LinAlgError:
-            # solve one by one so a single bad draw does not poison the chunk
-            r = np.empty(count)
-            for i in range(count):
-                while True:
-                    try:
-                        r[i] = _ratios(v[i:i + 1], cfg.n)[0]
-                        break
-                    except np.linalg.LinAlgError:
-                        failures += 1
-                        v[i] = rng.chisquare(df)
-        out[pos:pos + count] = r
-        pos += count
-    if failures > 1e-4 * R:
-        warnings.warn(f"{failures} replications resampled after eigensolver "
-                      f"failures (more than 0.01% of {R})")
-    if cfg.statistic == "one_minus_ratio":
-        np.subtract(1.0, out, out=out)
-    return out
+    return _sample(cfg)[0]
 
 
 def empirical_quantile(samples: Sequence[float], alpha: float) -> float:

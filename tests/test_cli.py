@@ -206,6 +206,49 @@ def test_sim_quaternion_matches_library(capsys, tmp_path):
     assert np.array_equal(np.load(target), want)
 
 
+def test_sim_reports_sampler_counts(capsys, monkeypatch):
+    argv = ("sim", "--m", "4", "--n", "3", "--reps", "2000", "--seed", "13", "--moments")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    sampler = json.loads(out)["metadata"]["sampler"]
+    assert set(sampler) == {"eigvalsh", "resampled"}
+    assert sampler["eigvalsh"] > 0 and sampler["resampled"] == 0
+    code, out, _ = run(capsys, "sim", "--m", "25", "--n", "2", "--reps", "100", "--moments")
+    assert json.loads(out)["metadata"]["sampler"] == {"eigvalsh": 0, "resampled": 0}
+
+    real = np.linalg.eigvalsh
+    singles = []
+
+    def flaky(a, *args, **kwargs):  # fails on every batch and on the first single draw
+        if len(a) == 1:
+            singles.append(1)
+        if len(a) > 1 or len(singles) == 1:
+            raise np.linalg.LinAlgError("flaky")
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", flaky)
+    with pytest.warns(UserWarning, match="1 replications resampled"):
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["metadata"]["sampler"]["resampled"] == 1
+
+
+def test_sim_too_many_reps_is_a_clean_error(capsys, monkeypatch):
+    # the output array is allocated before any per-chunk work, so a count
+    # that cannot be held fails at once; the allocation is faked, never made
+    real = np.empty
+
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape) > 10 ** 9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real(shape, *args, **kwargs)
+    monkeypatch.setattr(np, "empty", empty)
+    code, out, err = run(capsys, "sim", "--m", "10", "--n", "3",
+                         "--reps", "10000000000000", "--moments")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Unable to allocate")
+
+
 def test_sim_requires_alpha_or_moments(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--m", "6", "--n", "3", "--reps", "10"])

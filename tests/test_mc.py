@@ -34,8 +34,8 @@ def test_config_validation():
 
 
 def test_determinism_and_prefix_property():
-    # n = 2 takes the closed form, n = 3 the eigensolver
-    for n, beta in itertools.product((2, 3), (1, 2, 4)):
+    # n = 2 and n = 3 take closed forms, n = 4 the eigensolver
+    for n, beta in itertools.product((2, 3, 4), (1, 2, 4)):
         def run(reps, seed=7):
             return sample_extreme_ratio(McConfig(m=6, n=n, beta=beta,
                                                  replications=reps, seed=seed))
@@ -91,6 +91,69 @@ def test_closed_form_hand_rows():
     assert r[5] == pytest.approx(4e-301 / 5, rel=1e-15)
 
 
+def _eigvalsh_ratios_n3(v):
+    """l_min/l_max of the 3 x 3 T = B B^T by the dense solver, for rows (d0, d1, d2, e0, e1)."""
+    d0, d1, d2, e0, e1 = v.T
+    T = np.zeros((len(v), 3, 3))
+    T[:, 0, 0], T[:, 1, 1], T[:, 2, 2] = d0 + e0, d1 + e1, d2
+    T[:, 0, 1] = T[:, 1, 0] = np.sqrt(e0 * d1)
+    T[:, 1, 2] = T[:, 2, 1] = np.sqrt(e1 * d2)
+    eigs = np.linalg.eigvalsh(T)
+    return eigs[:, 0] / eigs[:, 2]
+
+
+def test_closed_form_matches_eigensolver_n3():
+    # eigvalsh is backward stable: each eigenvalue is off by a few eps l_max,
+    # so its ratio is off by a few eps absolutely.  The closed form's seeds
+    # are good to a few eps relative unless two eigenvalues nearly meet, so
+    # one Newton step leaves the rounding of the determinant recurrence,
+    # which is exact for a T within a few eps l_max of the drawn one
+    # (Demmel, Dhillon and Ren 1995); the Sturm counts send to eigvalsh a
+    # row whose step went to another root or is not within 16 eps.  8 eps
+    # bounds the difference (measured: up to 3 eps).  A row the counts do
+    # not certify is eigvalsh's ratio, clamped to [0, 1].
+    eps = np.finfo(float).eps
+    for m, beta in itertools.product((4, 6, 10, 25), (1, 2, 4)):
+        cfg = McConfig(m=m, n=3, beta=beta)
+        v = np.random.default_rng(m * beta).chisquare(
+            mc._degrees_of_freedom(cfg), size=(100_000, 5))
+        r = mc._ratios(v, 3)
+        want = _eigvalsh_ratios_n3(v)
+        diff = np.abs(r - want)
+        assert diff.max() <= 8 * eps, (m, beta, diff.max())
+        todo = mc._closed_form(v, 3, np.empty(len(v)))
+        assert np.array_equal(r[todo], np.clip(want[todo], 0.0, 1.0))
+        assert np.all((r >= 0) & (r <= 1))
+
+
+def test_closed_form_hand_rows_n3():
+    x = 19.312270052999637
+    x1 = np.nextafter(x, 30.0)
+    rows = np.array([
+        [2.0, 5.0, 3.0, 0.0, 0.0],  # e = 0: T is diagonal
+        [5.0, 3.0, 2.0, 0.0, 0.0],
+        [3.0, 3.0, 3.0, 1e-40, 1e-40],  # a triple eigenvalue to double precision
+        [2.0, 5.0, 3.0, 5e-324, 5e-324],  # subnormal e
+        # tiny d2: l_min = det T / (l_1 l_2) = 1e-299 / 15, and l_1 l_2 = 15 is
+        # the determinant of the leading 2 x 2 block to double precision
+        [2.0, 5.0, 1e-300, 3.0, 1.0],
+        [x, x1, np.nextafter(x1, 30.0), 0.0, 0.0],  # neighbouring doubles
+    ])
+    todo = mc._closed_form(rows, 3, np.empty(len(rows))).tolist()
+    r = mc._ratios(rows, 3)
+    assert np.all((r >= 0) & (r <= 1))
+    eps = np.finfo(float).eps
+    assert r[0] == pytest.approx(0.4, abs=eps) and r[1] == pytest.approx(0.4, abs=eps)
+    assert r[3] == pytest.approx(0.4, abs=eps)
+    l1 = (11 + math.sqrt(61)) / 2  # the larger eigenvalue of [[5, sqrt 15], [sqrt 15, 6]]
+    assert r[4] == pytest.approx(1e-299 / 15 / l1, rel=1e-14)
+    assert r[5] == pytest.approx(1.0, abs=4 * eps)
+    # the triple and the neighbouring doubles leave no room for the brackets
+    assert 2 in todo and 5 in todo
+    assert 0 not in todo and 4 not in todo
+    assert np.array_equal(r[todo], np.clip(_eigvalsh_ratios_n3(rows[todo]), 0.0, 1.0))
+
+
 def test_statistics_complement():
     kw = dict(m=6, n=3, replications=500, seed=11)
     r = sample_extreme_ratio(McConfig(statistic="ratio", **kw))
@@ -134,7 +197,8 @@ def _flaky_eigvalsh(monkeypatch, fail_single):
 
 
 def test_eigensolver_failures_resample_one_by_one(monkeypatch):
-    cfg = McConfig(m=6, n=3, beta=2, replications=300, seed=13)
+    # at n = 4 every draw goes to eigvalsh, in whole-chunk batches
+    cfg = McConfig(m=6, n=4, beta=2, replications=300, seed=13)
     clean = sample_extreme_ratio(cfg)
     runs = []
     for _ in range(2):
@@ -148,6 +212,36 @@ def test_eigensolver_failures_resample_one_by_one(monkeypatch):
     assert np.array_equal(runs[0], runs[1])
     # only the sample whose solve failed was drawn again
     assert np.flatnonzero(x != clean).tolist() == [4]
+
+
+def test_eigensolver_failures_hit_only_the_n3_fallback_draws(monkeypatch):
+    # at (4,3,1) about 1% of the draws are not certified and go to eigvalsh;
+    # a failed batch is solved one by one, and only its fifth draw is redrawn
+    cfg = McConfig(m=4, n=3, replications=2000, seed=13, statistic="ratio")
+    clean, clean_counts = mc._sample(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    v = rng.chisquare(mc._degrees_of_freedom(cfg), size=(2000, 5))
+    todo = mc._closed_form(v, 3, np.empty(2000))
+    assert todo.size >= 5
+    assert clean_counts == {"eigvalsh": todo.size, "resampled": 0}
+    with monkeypatch.context() as patch:
+        _flaky_eigvalsh(patch, fail_single=5)
+        with pytest.warns(UserWarning, match="1 replications resampled"):
+            x, counts = mc._sample(cfg)
+    assert counts == {"eigvalsh": todo.size, "resampled": 1}
+    assert np.flatnonzero(x != clean).tolist() == [todo[4]]
+    assert 0 <= x[todo[4]] <= 1
+
+
+def test_chunk_seeds_are_the_spawned_children():
+    # each chunk makes its child of SeedSequence(seed) when it runs; the
+    # stream is that of SeedSequence(seed).spawn(n_chunks)
+    cfg = McConfig(m=6, n=2, replications=2 * mc.CHUNK + 10, seed=21, statistic="ratio")
+    df = mc._degrees_of_freedom(cfg)
+    children = np.random.SeedSequence(cfg.seed).spawn(3)
+    v = np.concatenate([np.random.default_rng(c).chisquare(df, size=(k, df.size))
+                        for c, k in zip(children, (mc.CHUNK, mc.CHUNK, 10))])
+    assert np.array_equal(sample_extreme_ratio(cfg), mc._ratios(v, 2))
 
 
 def test_bidiagonal_matches_gaussian_sampler():
