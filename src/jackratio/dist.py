@@ -620,27 +620,29 @@ def _exact_value(shifted: Sequence[int], den: int, x: Fraction, power: int,
 
 def _pieri_moves(weight: int, beta: Fraction, nvars: int):
     """pieri(lam -> mu) for every partition lam of `weight` in at most nvars
-    parts, by rank: ([[(rank of mu, numerator)] per lam], one common
-    denominator, the number of partitions of weight + 1)."""
+    parts: three parallel tuples with one entry per move, the rank of lam,
+    the rank of mu and the numerator over one common denominator, then that
+    denominator and the number of partitions of weight + 1.  A tuple per
+    move would take most of the memory of an n = 5 build."""
     alpha = 2 / beta
     a, b = alpha.numerator, alpha.denominator
     ratios = [pieri_ratios(lam, a, b, nvars) for lam in partitions_of(weight, nvars)]
     den = math.lcm(*(d for out in ratios for _, _, d in out))
     rank = {mu: i for i, mu in enumerate(partitions_of(weight + 1, nvars))}
-    return ([[(rank[mu], n * (den // d)) for mu, n, d in out] for out in ratios],
+    return (tuple([i for i, out in enumerate(ratios) for _ in out]),
+            tuple([rank[mu] for out in ratios for mu, _, _ in out]),
+            tuple([n * (den // d) for out in ratios for _, n, d in out]),
             den, len(rank))
 
 
-def _pieri_step(vec: List[int], den: int, moves, move_den: int, size: int
-                ) -> Tuple[List[int], int]:
+def _pieri_step(vec: List[int], den: int, sources, targets, nums, move_den: int,
+                size: int) -> Tuple[List[int], int]:
     """p_1 * sum_lam vec[lam]/den C_lam, lam by rank, given the `_pieri_moves`
     out of the vector's weight, as integer numerators over one denominator
     in lowest terms."""
     out = [0] * size
-    for v, targets in zip(vec, moves):
-        if v:
-            for mu, c in targets:
-                out[mu] += v * c
+    for lam, mu, c in zip(sources, targets, nums):
+        out[mu] += vec[lam] * c
     den *= move_den
     g = math.gcd(den, *out)
     if g > 1:

@@ -30,12 +30,17 @@ certify, about one in 10^5 at m = 10 and more where l_min/l_max is below
 about 1e-3 or two eigenvalues nearly meet, goes to batched
 `numpy.linalg.eigvalsh`, as every draw does for n >= 4.
 
-Reproducibility: replications are generated in fixed-size chunks, each from
-its own child of numpy's SeedSequence tree, with one chi-square call per
-chunk that draws each sample's 2n - 1 variates consecutively.  The stream
-layout depends only on the seed, so the first R' samples of a run with
-R > R' replications are bit-for-bit identical to a run with R' replications
-and the same seed.
+Reproducibility: replications are generated in fixed-size chunks of
+CHUNK = 65536.  Variate j of chunk i (j = 0 .. 2n - 2, the d_i then the
+e_i) has its own stream, `SeedSequence(seed, spawn_key=(i, j))`, and is
+drawn by its cheapest exact generator: a squared standard normal for
+chi-square(1), twice a standard gamma(df/2) otherwise.  A draw that the
+eigensolver fails on is redrawn from the same streams.  The first R'
+variates of a stream do not depend on how many are drawn, so the first R'
+samples of a run with R > R' replications are bit-for-bit identical to a
+run with R' replications and the same seed.  This layout replaced one
+chi-square call per chunk over interleaved variates; `jackratio sim`
+output for a given seed changed with it, once.
 """
 
 from __future__ import annotations
@@ -93,10 +98,25 @@ _DELTA = 16 * np.finfo(float).eps
 
 
 def _ratios_n2(v: np.ndarray, out: np.ndarray) -> None:
+    """l_min/l_max = 4 d0 d1 / s^2 into out, on two work arrays.
+
+    s = 2 l_max = (d0 + e0) + d1 + sqrt(g^2 + 4 e0 d1) with g = (d0 + e0) - d1,
+    and l_min = det T / l_max with det T = d0 d1.
+    """
     d0, d1, e0 = v[:, 0], v[:, 1], v[:, 2]
-    g = d0 + e0 - d1
-    s = d0 + e0 + d1 + np.sqrt(g * g + 4.0 * e0 * d1)  # s = 2 l_max
-    np.divide(4.0 * d0 * d1, s * s, out=out)  # l_min = det T / l_max, det T = d0 d1
+    g = d0 + e0
+    s = g + d1
+    g -= d1
+    g *= g
+    np.multiply(4.0, e0, out=out)
+    out *= d1
+    g += out
+    np.sqrt(g, out=g)
+    s += g  # s = 2 l_max
+    s *= s
+    np.multiply(4.0, d0, out=out)
+    out *= d1
+    out /= s
     # rounding can leave r an ulp above 1 where d0 ~ d1 and e0 ~ 0
     np.minimum(out, 1.0, out=out)
 
@@ -266,6 +286,23 @@ def _ratios(v: np.ndarray, n: int) -> np.ndarray:
     return r
 
 
+def _chi_square(rng: np.random.Generator, df: float, out: np.ndarray) -> None:
+    """Fill the contiguous out with chi-square(df) variates from rng.
+
+    chi-square(1) is a squared standard normal; any other df is twice a
+    gamma(df/2), which numpy draws by Marsaglia and Tsang's method for
+    df >= 2.  `Generator.chisquare` would send df = 1 through its
+    rejection sampler for gamma shapes below 1, at about three times the
+    cost of the normal draw.
+    """
+    if df == 1:
+        rng.standard_normal(out=out)
+        np.square(out, out=out)
+    else:
+        rng.standard_gamma(df / 2, out=out)
+        out *= 2
+
+
 def _sample(cfg: McConfig) -> Tuple[np.ndarray, Dict[str, int]]:
     """The samples of `sample_extreme_ratio` and what they cost the sampler.
 
@@ -275,12 +312,18 @@ def _sample(cfg: McConfig) -> Tuple[np.ndarray, Dict[str, int]]:
     R = cfg.replications
     df = _degrees_of_freedom(cfg)
     out = np.empty(R, dtype=float)  # before any per-chunk work: a huge R fails here
+    # one row per variate, so that each variate of a chunk is contiguous
+    work = np.empty((df.size, min(CHUNK, R)))
     counts = {"eigvalsh": 0, "resampled": 0}
     for i, pos in enumerate(range(0, R, CHUNK)):
-        # the i-th child of SeedSequence(seed), made when its chunk runs
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
         count = min(CHUNK, R - pos)
-        v = rng.chisquare(df, size=(count, df.size))
+        # variate j of chunk i comes from its own stream, made when the chunk runs
+        rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i, j)))
+                for j in range(df.size)]
+        w = work[:, :count]
+        for rng, k, row in zip(rngs, df, w):
+            _chi_square(rng, k, row)
+        v = w.T
         r = out[pos:pos + count]
         todo = _closed_form(v, cfg.n, r)
         counts["eigvalsh"] += todo.size
@@ -297,7 +340,8 @@ def _sample(cfg: McConfig) -> Tuple[np.ndarray, Dict[str, int]]:
                         break
                     except np.linalg.LinAlgError:
                         counts["resampled"] += 1
-                        v[j] = rng.chisquare(df)
+                        for rng, k, row in zip(rngs, df, w):
+                            _chi_square(rng, k, row[j:j + 1])
     if counts["resampled"] > 1e-4 * R:
         warnings.warn(f"{counts['resampled']} replications resampled after eigensolver "
                       f"failures (more than 0.01% of {R})")

@@ -538,12 +538,14 @@ def test_integer_pieri_levels_match_cellwise_oracle(beta):
     # every move of a level, by rank over its denominator, is the oracle's rational
     for nvars in range(1, 6):
         for w in range(9):
-            moves, den, size = dist_mod._pieri_moves(w, Fraction(beta), nvars)
+            sources, targets, nums, den, size = dist_mod._pieri_moves(w, Fraction(beta), nvars)
             lams, mus = partitions_of(w, nvars), partitions_of(w + 1, nvars)
-            assert len(moves) == len(lams) and size == len(mus)
-            for lam, targets in zip(lams, moves):
-                got = {mus[mu]: Fraction(c, den) for mu, c in targets}
-                assert len(got) == len(targets)
+            assert len(sources) == len(targets) == len(nums) and size == len(mus)
+            assert set(sources) == set(range(len(lams)))
+            for i, lam in enumerate(lams):
+                got = {mus[mu]: Fraction(c, den)
+                       for j, mu, c in zip(sources, targets, nums) if j == i}
+                assert len(got) == sources.count(i)
                 assert got == cellwise_pieri_coefficients(lam, beta, nvars), (beta, nvars, lam)
 
 

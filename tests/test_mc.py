@@ -70,16 +70,19 @@ def test_closed_form_matches_eigensolver_n2():
         assert diff.max() <= 8 * np.finfo(float).eps, (m, beta, diff.max())
 
 
+HAND_ROWS_N2 = np.array([
+    [2.0, 5.0, 0.0],  # e0 = 0: T is diagonal
+    [5.0, 2.0, 0.0],
+    [3.0, 3.0, 0.0],  # and with d0 = d1 both eigenvalues are 3
+    # neighbouring doubles with e0 = 0: the unclamped quotient is 1 + eps
+    [19.312270052999637, 19.31227005299964, 0.0],
+    [2.0, 5.0, 5e-324],  # subnormal e0
+    [2.0, 1e-300, 3.0],  # tiny d1: l_min = det/l_max = 2e-300/5
+])
+
+
 def test_closed_form_hand_rows():
-    rows = np.array([
-        [2.0, 5.0, 0.0],  # e0 = 0: T is diagonal
-        [5.0, 2.0, 0.0],
-        [3.0, 3.0, 0.0],  # and with d0 = d1 both eigenvalues are 3
-        # neighbouring doubles with e0 = 0: the unclamped quotient is 1 + eps
-        [19.312270052999637, 19.31227005299964, 0.0],
-        [2.0, 5.0, 5e-324],  # subnormal e0
-        [2.0, 1e-300, 3.0],  # tiny d1: l_min = det/l_max = 2e-300/5
-    ])
+    rows = HAND_ROWS_N2
     r = mc._ratios(rows, 2)
     assert np.all((r >= 0) & (r <= 1))
     assert r[0] == r[1] == 0.4
@@ -89,6 +92,24 @@ def test_closed_form_hand_rows():
     # T = [[5, sqrt(3e-300)], [sqrt(3e-300), 1e-300]]: l_max = 5 to double
     # precision; eigvalsh would lose l_min = 4e-301 below its eps * 5 error
     assert r[5] == pytest.approx(4e-301 / 5, rel=1e-15)
+
+
+def test_ratios_n2_match_the_plain_formula():
+    # the closed form works in place on two arrays, with the plain formula's
+    # operations in the same order, so its ratios are the same doubles; the
+    # sampler hands it the columns of a transposed (3, R) array
+    for m, beta in ((3, 1), (25, 2)):
+        df = mc._degrees_of_freedom(McConfig(m=m, n=2, beta=beta))
+        v = np.concatenate([HAND_ROWS_N2,
+                            np.random.default_rng(m).chisquare(df, size=(100_000, 3))])
+        d0, d1, e0 = v.T
+        g = d0 + e0 - d1
+        s = d0 + e0 + d1 + np.sqrt(g * g + 4.0 * e0 * d1)
+        want = np.minimum(4.0 * d0 * d1 / (s * s), 1.0)
+        for rows in (v, np.asfortranarray(v)):
+            got = np.empty(len(v))
+            mc._ratios_n2(rows, got)
+            assert np.array_equal(got, want), (m, beta)
 
 
 def _eigvalsh_ratios_n3(v):
@@ -214,13 +235,27 @@ def test_eigensolver_failures_resample_one_by_one(monkeypatch):
     assert np.flatnonzero(x != clean).tolist() == [4]
 
 
+def _chunk_variates(cfg, chunk_seed, count):
+    """The (count, 2n - 1) variates of one chunk, rebuilt from its seed.
+
+    Variate j comes from the j-th child of the chunk's SeedSequence: the
+    squares of standard normals for chi-square(1), `Generator.chisquare`
+    draws for any other df.
+    """
+    df = mc._degrees_of_freedom(cfg)
+    columns = []
+    for k, seed in zip(df, chunk_seed.spawn(df.size)):
+        rng = np.random.default_rng(seed)
+        columns.append(rng.standard_normal(count) ** 2 if k == 1 else rng.chisquare(k, count))
+    return np.column_stack(columns)
+
+
 def test_eigensolver_failures_hit_only_the_n3_fallback_draws(monkeypatch):
     # at (4,3,1) about 1% of the draws are not certified and go to eigvalsh;
     # a failed batch is solved one by one, and only its fifth draw is redrawn
     cfg = McConfig(m=4, n=3, replications=2000, seed=13, statistic="ratio")
     clean, clean_counts = mc._sample(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-    v = rng.chisquare(mc._degrees_of_freedom(cfg), size=(2000, 5))
+    v = _chunk_variates(cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0], 2000)
     todo = mc._closed_form(v, 3, np.empty(2000))
     assert todo.size >= 5
     assert clean_counts == {"eigvalsh": todo.size, "resampled": 0}
@@ -234,14 +269,29 @@ def test_eigensolver_failures_hit_only_the_n3_fallback_draws(monkeypatch):
 
 
 def test_chunk_seeds_are_the_spawned_children():
-    # each chunk makes its child of SeedSequence(seed) when it runs; the
-    # stream is that of SeedSequence(seed).spawn(n_chunks)
+    # variate j of chunk i is drawn from the j-th child of the i-th child of
+    # SeedSequence(seed), made when the chunk runs; (6,2,1) has df 6, 5 and 1
     cfg = McConfig(m=6, n=2, replications=2 * mc.CHUNK + 10, seed=21, statistic="ratio")
-    df = mc._degrees_of_freedom(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(3)
-    v = np.concatenate([np.random.default_rng(c).chisquare(df, size=(k, df.size))
+    v = np.concatenate([_chunk_variates(cfg, c, k)
                         for c, k in zip(children, (mc.CHUNK, mc.CHUNK, 10))])
     assert np.array_equal(sample_extreme_ratio(cfg), mc._ratios(v, 2))
+
+
+def test_chi_square_generator_laws():
+    # each df's generator against Generator.chisquare from an unrelated seed:
+    # the dfs of n = 2 and 3 at small and large m, and those of beta = 4 at (8,3)
+    N = 50_000
+    dfs = {1, 2, 3, 8, 25, 104, *mc._degrees_of_freedom(McConfig(m=8, n=3, beta=4))}
+    for df in sorted(dfs):
+        got = np.empty(N)
+        mc._chi_square(np.random.default_rng(51), df, got)
+        want = np.random.default_rng(52).chisquare(df, N)
+        assert two_sample_ks(got, want) < KS_CRIT_0_001 * math.sqrt(2 / N), df
+        # df = 1 squares standard normals; the others are chisquare's own draws
+        rng = np.random.default_rng(51)
+        again = rng.standard_normal(N) ** 2 if df == 1 else rng.chisquare(df, N)
+        assert np.array_equal(got, again), df
 
 
 def test_bidiagonal_matches_gaussian_sampler():
