@@ -13,12 +13,11 @@ import warnings
 
 import numpy as np
 
+from jackratio.cli import TABLE1_ALPHAS
 from jackratio.dist import (DistParams, TruncationWarning,
                             auto_converged_params, get_table)
 from jackratio.mc import (McConfig, empirical_quantile, ks_distance,
                           sample_extreme_ratio)
-
-ALPHAS = (0.01, 0.05, 0.50, 0.90, 0.95)
 
 
 def main():
@@ -59,7 +58,7 @@ def main():
 
     print(f"\n{'alpha':>6} {'empirical':>10} {'series(K=' + str(stated.K) + ')':>14} "
           f"{'series(K=' + str(converged.K) + ')':>14}")
-    for alpha in ALPHAS:
+    for alpha in TABLE1_ALPHAS:
         emp = empirical_quantile(samples, alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)

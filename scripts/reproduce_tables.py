@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from jackratio.cli import main as cli_main
+from jackratio.cli import TABLE1_ALPHAS, main as cli_main
 from jackratio.dist import DistParams, get_table
 
 
@@ -27,7 +27,7 @@ def write_deeper_variant(dest, digits):
     table = get_table(DistParams(m=10, n=3, beta=2, K=44))
     with open(dest, "w") as fh:
         fh.write("alpha,F_44_inv\n")
-        for alpha in (0.01, 0.05, 0.50, 0.90, 0.95):
+        for alpha in TABLE1_ALPHAS:
             fh.write(f"{alpha:.{digits}f},{table.quantile(alpha):.{digits}f}\n")
     print(f"wrote {dest}")
 

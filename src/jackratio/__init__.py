@@ -30,7 +30,6 @@ from .dist import (
     auto_converged_params,
     get_general_table,
     get_table,
-    leading_constant,
 )
 
 __version__ = "0.1.0"

@@ -339,8 +339,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.format is None:
         args.format = args.default_format
-    if isinstance(getattr(args, "m_grid", None), str):
-        args.m_grid = _parse_grid(args.m_grid)
 
     if args.output:  # fail before the handler's work, not after it
         try:

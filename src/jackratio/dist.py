@@ -104,6 +104,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 MONITOR_TOLERANCE = 1e-10
+_QUANTILE_TOLERANCE = 1e-8  # `quantile` stops at |cdf - alpha| <= this
+_K_BUDGET = 6400  # `auto_converged_params` gives up at this K
 
 
 class TruncationWarning(UserWarning):
@@ -136,11 +138,6 @@ class DistParams:
             raise ValueError("beta must be 1, 2 or 4")
         if not (self.m > self.n >= 2):
             raise ValueError("need m > n >= 2")
-
-    @property
-    def p(self) -> Fraction:
-        """Vanishing threshold of the tau Pochhammer factor."""
-        return _threshold(self.m, self.n, self.beta)
 
     @property
     def resolved_K(self) -> int:
@@ -219,8 +216,8 @@ def _spec(m: int, n: int, beta: int, t_max: int) -> _SeriesSpec:
 @dataclass(frozen=True)
 class LeadingConstant:
     """A constant q * c: q an exact Fraction and c one float, the part of
-    pi^(h/2) n^-f that is not rational (see `_leading`).  For a series table
-    c is 1.0 where m n beta is even and 1/sqrt(n), rounded once, where it is
+    n^-f that is not rational (see `_leading`).  For a series table c is
+    1.0 where m n beta is even and 1/sqrt(n), rounded once, where it is
     odd.  `sign` and `log_abs` give the constant in signed-log form."""
     q: Fraction
     c: float
@@ -257,37 +254,31 @@ def _constant(m: int, n: int, beta: int) -> Tuple[Fraction, int, Fraction]:
     return q, int(h), Fraction(m * n) * b / 2
 
 
-def _series_constant(m: int, n: int, beta: int) -> Tuple[Fraction, int, Fraction]:
-    """(q, h, f) of the constant of a series table: `_constant` times
-    Gamma(m n beta/2), which cancels its power of pi (h = 0).  Each
-    `_ForwardBuild` computes it once for all its tables."""
+def _series_constant(m: int, n: int, beta: int) -> Tuple[Fraction, Fraction]:
+    """(q, f) of the constant q n^-f of a series table: `_constant` times
+    Gamma(m n beta/2), which cancels its power of pi.  Each `_ForwardBuild`
+    computes it once for all its tables."""
     q, h, f = _constant(m, n, beta)
     gq, gh = gamma_exact(f)
-    return q * gq, h + gh, f
+    assert h + gh == 0, "Gamma(m n beta/2) cancels the power of pi"
+    return q * gq, f
 
 
-def _leading(q: Fraction, h: int, f: Fraction, n: int) -> LeadingConstant:
-    """q pi^(h/2) n^-f as a `LeadingConstant`: n^-floor(f) goes into q, and
-    c is pi^(h/2), exactly 1.0 for h = 0 (every table), times 1/sqrt(n)
-    where f is a half-integer.  Then m n beta is odd, so n is odd and
-    1/sqrt(n) is irrational: r = floor(2^P / sqrt(n)) leaves it strictly
-    inside (r, r + 1) / 2^P, which for P = 64 + bits(n) holds no point
-    halfway between two floats, so (r + 1/2) / 2^P rounds as 1/sqrt(n) does.
+def _leading(q: Fraction, f: Fraction, n: int) -> LeadingConstant:
+    """q n^-f as a `LeadingConstant`: n^-floor(f) goes into q, and c is 1.0,
+    or 1/sqrt(n) where f is a half-integer.  Then m n beta is odd, so n is
+    odd and 1/sqrt(n) is irrational: r = floor(2^P / sqrt(n)) leaves it
+    strictly inside (r, r + 1) / 2^P, which for P = 64 + bits(n) holds no
+    point halfway between two floats, so (r + 1/2) / 2^P rounds as
+    1/sqrt(n) does.
     """
     whole = math.floor(f)
-    c = math.pi ** (h / 2)
+    c = 1.0
     if f != whole:
         P = 64 + n.bit_length()
         r = math.isqrt((1 << 2 * P) // n)
-        c *= (2 * r + 1) / (1 << P + 1)
+        c = (2 * r + 1) / (1 << P + 1)
     return LeadingConstant(q / Fraction(n) ** whole, c)
-
-
-def leading_constant(params: DistParams) -> LeadingConstant:
-    """The closed-form constant of the paper (positive) as q * c: q an exact
-    Fraction, c a float holding the powers of pi and n that are not
-    rational.  A series table's constant is this times Gamma(m n beta/2)."""
-    return _leading(*_constant(params.m, params.n, params.beta), params.n)
 
 
 # -- float evaluation under a derived bound ---------------------------------------
@@ -1061,7 +1052,8 @@ class SeriesTable:
     def _moment_sums(self, h: int) -> Tuple[int, int, float]:
         """(T, B, r), once per h: E[X^h] = const * T / B exactly, and r is its
         last K increment relative to the total."""
-        if not isinstance(h, numbers.Integral) or h < 0:
+        _check_integers(h=h)
+        if h < 0:
             raise ValueError("moment order must be a nonnegative integer")
         if h not in self._moments:
             # e/(e+h) with e = rho+k+t depends on j = k+t only, so the total is
@@ -1077,7 +1069,7 @@ class SeriesTable:
                                 abs(increment / total) if total else float("inf"))
         return self._moments[h]
 
-    def quantile(self, alpha: float, tol: float = 1e-8) -> float:
+    def quantile(self, alpha: float) -> float:
         if not (0 < alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
         self._warn_if_unconverged()
@@ -1093,7 +1085,7 @@ class SeriesTable:
             mid = 0.5 * (lo + hi)
             f = self._evaluate(mid, derivative=False)
             seen.append((mid, f))
-            if abs(f - alpha) <= tol:
+            if abs(f - alpha) <= _QUANTILE_TOLERANCE:
                 value = mid
                 break
             if f < alpha:
@@ -1109,8 +1101,9 @@ class SeriesTable:
                 raise TruncationError(
                     f"truncated cdf decreases between x={x0:.6f} and x={x1:.6f}; "
                     "increase K")
-        if value is None or abs(f - alpha) > tol:
-            raise TruncationError(f"quantile search did not reach |cdf - alpha| <= {tol}")
+        if value is None or abs(f - alpha) > _QUANTILE_TOLERANCE:
+            raise TruncationError(
+                f"quantile search did not reach |cdf - alpha| <= {_QUANTILE_TOLERANCE}")
         return value
 
     def summary_stats(self) -> Dict[str, float]:
@@ -1182,19 +1175,17 @@ def get_general_table(n1: int, n2: int, K: int, t_max: Optional[int] = None) -> 
     return _table(n2, n1, 1, K, t_max)
 
 
-def auto_converged_params(m: int, n: int, beta: int = 1, start_K: Optional[int] = None,
-                          max_K: int = 6400, moments: int = 0) -> DistParams:
-    """Smallest (doubling) K whose series passes the convergence monitor.
+def auto_converged_params(m: int, n: int, beta: int = 1, moments: int = 0) -> DistParams:
+    """Smallest K, doubling from the default up to `_K_BUDGET`, whose series
+    passes the convergence monitor; TruncationError if none up to it does.
 
     With moments > 0 the monitor must also pass for each moment order up to
     that bound (the h-weighted tails decay slightly slower than the mass).
     """
-    _check_integers(start_K=start_K, max_K=max_K, moments=moments)
-    if start_K is not None and start_K < 1:
-        raise ValueError("start_K must be at least 1")
+    _check_integers(moments=moments)
     if moments < 0:
         raise ValueError("moments must be nonnegative")
-    K = start_K if start_K is not None else DistParams(m=m, n=n, beta=beta).resolved_K
+    K = DistParams(m=m, n=n, beta=beta).resolved_K
     while True:
         params = DistParams(m=m, n=n, beta=beta, K=K)
         table = get_table(params)
@@ -1205,6 +1196,6 @@ def auto_converged_params(m: int, n: int, beta: int = 1, start_K: Optional[int] 
             ok = table.moment_monitor(h) < MONITOR_TOLERANCE
         if ok:
             return params
-        if K >= max_K:
+        if K >= _K_BUDGET:
             raise TruncationError(f"no convergence by K={K} for m={m}, n={n}, beta={beta}")
-        K *= 2
+        K = min(2 * K, _K_BUDGET)

@@ -1,4 +1,4 @@
-"""Integer partitions: canonical form, enumeration, ordering, conjugation, hooks.
+"""Integer partitions: canonical form, enumeration, dominance, conjugation, hooks.
 
 A partition is a weakly decreasing tuple of positive integers.  The empty
 tuple is the unique partition of 0.  Trailing zeros are never stored; they
@@ -31,11 +31,6 @@ def weight(kappa: Partition) -> int:
     return sum(kappa)
 
 
-def length(kappa: Partition) -> int:
-    """Number of nonzero parts."""
-    return len(kappa)
-
-
 def pad(kappa: Partition, m: int) -> Tuple[int, ...]:
     """The partition as a length-m exponent vector (zeros appended)."""
     if len(kappa) > m:
@@ -51,28 +46,11 @@ def conjugate(kappa: Partition) -> Partition:
     return tuple(out)
 
 
-def lex_compare(kappa: Partition, mu: Partition) -> int:
-    """-1, 0, +1 comparison in lexicographic order, for equal weights only.
-
-    For two distinct partitions of the same weight neither is a prefix of
-    the other, so plain tuple comparison decides the order.
-    """
-    assert sum(kappa) == sum(mu), "lex_compare is defined within a fixed weight"
-    if kappa == mu:
-        return 0
-    return 1 if kappa > mu else -1
-
-
-def dominates_lex(kappa: Partition, mu: Partition) -> bool:
-    """True when mu <= kappa in the lexicographic order (equal weights)."""
-    return lex_compare(kappa, mu) >= 0
-
-
 def dominates(kappa: Partition, mu: Partition) -> bool:
     """True when kappa >= mu in the dominance order (equal weights).
 
-    Strictly finer than lex: lex-comparable pairs may be dominance-incomparable,
-    e.g. (4,1,1) vs (3,3).
+    Only a partial order: (4,1,1) and (3,3), say, are incomparable, although
+    tuple order puts the first above the second.
     """
     assert sum(kappa) == sum(mu), "dominance is defined within a fixed weight"
     total_k = total_m = 0

@@ -18,7 +18,7 @@ from backward_build import (backward_coeffs, cellwise_pieri_coefficients, delta_
 from jackratio import esym, jack
 from jackratio.dist import (DistParams, LeadingConstant, SeriesTable, TruncationError,
                             TruncationWarning, auto_converged_params,
-                            get_general_table, get_table, leading_constant)
+                            get_general_table, get_table)
 from jackratio.jack import jack_expansion, jack_product
 from jackratio.partitions import partitions_of
 from jackratio.special import gen_pochhammer_exact
@@ -64,7 +64,7 @@ def test_params_validation():
                 dict(beta=True), dict(K=True)):
         with pytest.raises(ValueError, match="must be an integer"):
             DistParams(**{"m": 10, "n": 3, **bad})
-    for bad in (dict(start_K=2.5), dict(max_K=100.0), dict(moments=1.0), dict(moments=True)):
+    for bad in (dict(moments=1.0), dict(moments=True)):
         with pytest.raises(ValueError, match="must be an integer"):
             auto_converged_params(10, 3, 1, **bad)
     with pytest.raises(ValueError, match="must be an integer"):
@@ -76,17 +76,14 @@ def test_params_validation():
 def test_default_truncation_orders():
     p = DistParams(m=10, n=3, beta=1)
     assert p.resolved_K == 25
-    assert p.p == 3
     assert p.resolved_t_max == 6
     p2 = DistParams(m=10, n=3, beta=2)
     assert p2.resolved_K == 40
-    assert p2.p == 7
     assert p2.resolved_t_max == 14
 
 
 def test_fractional_p_requires_explicit_t_max():
     p = DistParams(m=6, n=4, beta=1)  # p = 1/2
-    assert p.p == Fraction(1, 2)
     with pytest.raises(ValueError):
         p.resolved_t_max
     assert DistParams(m=6, n=4, beta=1, t_max=9).resolved_t_max == 9
@@ -96,14 +93,6 @@ def test_fractional_p_requires_explicit_t_max():
 
 def test_mass_is_one_at_converged_truncation():
     assert abs(get_table(DistParams(m=5, n=2, beta=1, K=40)).moment(0) - 1) <= 1e-6
-
-
-def test_leading_constant_positive():
-    for m, n, beta in [(10, 3, 1), (10, 3, 2), (10, 3, 4), (5, 2, 1), (7, 4, 2), (11, 3, 1)]:
-        c = leading_constant(DistParams(m=m, n=n, beta=beta))
-        assert c.q > 0 and c.c > 0
-        assert c.sign == 1
-        assert math.isfinite(c.log_abs)
 
 
 def test_constant_log_abs_beyond_float_range():
@@ -151,9 +140,8 @@ def test_table_constants_are_exact():
     with localcontext() as ctx:
         ctx.prec = 50
         for m, n, beta in CONSTANT_GRID:
-            q, h, f = dist_mod._series_constant(m, n, beta)
-            assert h == 0, (m, n, beta)
-            const = dist_mod._leading(q, h, f, n)
+            # `_series_constant` asserts that no power of pi is left
+            const = dist_mod._leading(*dist_mod._series_constant(m, n, beta), n)
             if m * n * beta % 2:
                 assert const.c == float(1 / Decimal(n).sqrt()), (m, n, beta)
             else:
@@ -224,10 +212,13 @@ def test_domain_errors():
         table.cdf_many([0.5, 1.5])
     with pytest.raises(ValueError):
         table.pdf(0.0)
-    with pytest.raises(ValueError):
-        table.moment(-1)
     with pytest.raises(ValueError, match="nonnegative integer"):
-        table.moment(1.5)
+        table.moment(-1)
+    # a bool is not an order, though True == 1
+    for bad in (1.5, True):
+        for query in (table.moment, table.moment_monitor):
+            with pytest.raises(ValueError, match="must be an integer"):
+                query(bad)
     with pytest.raises(ValueError):
         table.quantile(0.0)
 
@@ -421,7 +412,7 @@ def test_summary_stats_are_correctly_rounded(m):
     # the table's own constant (c = 1), then the same q with c = 1/sqrt(3)
     ref = get_table(auto_converged_params(m, 2, 1, moments=4))
     assert ref.const.c == 1.0
-    for const in (ref.const, dist_mod._leading(ref.const.q, 0, Fraction(1, 2), 3)):
+    for const in (ref.const, dist_mod._leading(ref.const.q, Fraction(1, 2), 3)):
         table = SeriesTable(ref.build, ref.K)
         table.const = const
         mean, var, mu3, mu4 = exact_central_moments(table)
@@ -434,13 +425,6 @@ def test_summary_stats_are_correctly_rounded(m):
             skewness = float(Decimal(mu3.numerator) / Decimal(mu3.denominator)
                              / (Decimal(var.numerator) / Decimal(var.denominator)) ** Decimal(1.5))
         assert abs(stats["skewness"] - skewness) <= math.ulp(skewness)
-
-
-def test_auto_converged_params_rejects_empty_start():
-    # K doubles from start_K, so a start of 0 would never grow
-    for start_K in (0, -4):
-        with pytest.raises(ValueError, match="start_K"):
-            auto_converged_params(5, 2, 1, start_K=start_K)
 
 
 # -- quantiles -------------------------------------------------------------------
@@ -631,6 +615,19 @@ def test_one_build_owns_the_tables_of_a_search():
         assert len(table.coeffs) == sum(map(len, build.rows[:K + 1]))
     assert get_table(params) is build.tables[100]
     assert get_table(DistParams(m=10, n=3, beta=1, K=100, t_max=6)) is build.tables[100]
+
+
+def test_convergence_search_stops_at_its_budget(monkeypatch):
+    # (10,3,2) converges at K=160; under a budget of 60 the search tries
+    # K=40, then 60 (not 80), and gives up without building past it
+    assert auto_converged_params(10, 3, 2).K == 160
+    clear_build_caches()
+    monkeypatch.setattr(dist_mod, "_K_BUDGET", 60)
+    with pytest.raises(TruncationError, match="K=60"):
+        auto_converged_params(10, 3, 2)
+    build = dist_mod._BUILDS[(10, 3, 2, 14)]
+    assert sorted(build.tables) == [40, 60]
+    assert len(build.rows) == 61
 
 
 def test_get_table_builds_no_expansions():

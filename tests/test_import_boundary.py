@@ -21,7 +21,7 @@ PUBLIC_NAMES = (
     "conjugate", "dist", "e_to_jack", "eigenvalue_closed_form", "elementary_values",
     "empirical_moments", "empirical_quantile", "esym", "gen_pochhammer_exact",
     "get_general_table", "get_table", "jack", "jack_at_identity", "jack_expansion",
-    "jack_product", "ks_distance", "laplace_beltrami_row", "leading_constant",
+    "jack_product", "ks_distance", "laplace_beltrami_row",
     "leading_elementary_coeff", "load_expansion_cache", "lower_hook_product", "mc",
     "normalize", "partitions", "partitions_of",
     "pi_exponent", "sample_extreme_ratio", "save_expansion_cache",

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from jackratio.partitions import (conjugate, dominates_lex, length, lex_compare,
-                                  lower_hook_product, normalize, pad, partitions_of,
-                                  upper_hook_product, weight)
+from jackratio.partitions import (conjugate, lower_hook_product, normalize, pad,
+                                  partitions_of, upper_hook_product, weight)
 
 
 def count_partitions(k: int, m: int) -> int:
@@ -32,7 +31,6 @@ def test_normalize_strips_and_validates():
 def test_weight_length_pad():
     assert weight((3, 1)) == 4
     assert weight(()) == 0
-    assert length((3, 1)) == 2
     assert pad((3, 1), 4) == (3, 1, 0, 0)
 
 
@@ -59,7 +57,7 @@ def test_enumeration_sorted_valid_unique(k, m):
     assert len(set(parts)) == len(parts)
     for p in parts:
         assert weight(p) == k
-        assert length(p) <= m
+        assert len(p) <= m
         assert all(a >= b for a, b in zip(p, p[1:]))
         assert all(a > 0 for a in p)
     for a, b in zip(parts, parts[1:]):
@@ -78,19 +76,6 @@ def partitions(draw, max_weight=10, max_parts=5):
 def test_conjugate_is_involution(p):
     assert conjugate(conjugate(p)) == p
     assert weight(conjugate(p)) == weight(p)
-
-
-def test_lex_compare_same_weight_only():
-    assert lex_compare((3, 1), (2, 2)) > 0
-    assert lex_compare((2, 2), (2, 2)) == 0
-    with pytest.raises(AssertionError):
-        lex_compare((3,), (2,))
-
-
-def test_dominates_lex():
-    assert dominates_lex((4,), (3, 1))
-    assert dominates_lex((3, 1), (2, 2))
-    assert not dominates_lex((2, 2), (3, 1))
 
 
 def test_upper_hook_product_frozen():
