@@ -11,8 +11,6 @@ import argparse
 import sys
 import warnings
 
-import numpy as np
-
 from jackratio.cli import TABLE1_ALPHAS
 from jackratio.dist import (DistParams, TruncationWarning,
                             auto_converged_params, get_table)

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -356,6 +357,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (ValueError, OSError) as exc:
             print(f"ignoring unusable cache {cache_path}: {exc}", file=sys.stderr)
 
+    # one line per warning; the caller's filters and recorders still apply
+    saved_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         text = args.handler(args)
     except (ValueError, TruncationError, ZeroDivisionError, OverflowError,
@@ -364,6 +368,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except OSError as exc:  # the one file a handler writes: sim --dump
         return _write_failed(exc.filename, exc)
+    finally:
+        warnings.formatwarning = saved_format
 
     if cache_path:
         from .jack import save_expansion_cache

@@ -129,7 +129,7 @@ def test_low_variable_recurrence_equivalence():
                 parts = partitions_of(k, m)
                 incoming = {mu: {} for mu in parts}
                 for lam in parts:
-                    for mu, c in laplace_beltrami_row(lam, beta, m).as_dict().items():
+                    for mu, c in dict(laplace_beltrami_row(lam, beta, m).entries).items():
                         if mu != lam:
                             incoming[mu][lam] = c
                 for mu in parts:

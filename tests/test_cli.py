@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -12,6 +15,9 @@ from jackratio.cli import build_parser, main
 from jackratio.dist import TruncationWarning
 from jackratio.esym import EPolynomial
 from jackratio.jack import e_to_jack, jack_product
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -56,6 +62,16 @@ def test_jack_expand_round_trip(capsys):
              for k, v in json.loads(out).items()}
     back = e_to_jack(EPolynomial(terms, 3), Fraction(1))
     assert back.as_dict() == {(2, 1): Fraction(1)}
+
+
+def test_symbolic_commands_match_their_recorded_output(capsys):
+    # stdout compared whole, so the order of the printed terms is checked too
+    with open(os.path.join(ROOT, "tests", "symbolic_cli_golden.json")) as fh:
+        golden = json.load(fh)
+    for command, want in golden.items():
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, ""), command
+        assert out == want, command
 
 
 def test_lb_row_csv(capsys):
@@ -256,6 +272,29 @@ def test_sim_requires_alpha_or_moments(capsys):
 
 
 # -- plumbing -------------------------------------------------------------------
+
+def test_warning_is_one_stderr_line():
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jackratio.cli", "dist", "quantile", "--m", "10",
+         "--n", "3", "--K", "10", "--alpha", "0.5"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: series truncation K=10 shows relative last "
+                           "increment 1.24e-01; results may be off\n")
+    assert json.loads(proc.stdout)["rows"][0]["alpha"] == 0.5
+
+
+def test_warning_format_is_restored(capsys):
+    before = warnings.formatwarning
+    assert run(capsys, "dist", "quantile", "--m", "10", "--n", "3", "--K", "10",
+               "--alpha", "0.5")[0] == 0
+    assert run(capsys, "dist", "cdf", "--m", "3", "--n", "5", "--x", "0.5")[0] == 1
+    assert warnings.formatwarning is before
+
 
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:

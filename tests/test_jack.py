@@ -82,6 +82,13 @@ def test_e_to_jack_round_trip():
     assert back == {(3, 1): Fraction(5, 7), (2, 2): Fraction(-2, 3)}
 
 
+def test_e_to_jack_ignores_term_insertion_order():
+    product = jack_expansion((3, 1), 1, 4) * jack_expansion((2, 1), 1, 4)
+    ascending, descending = (EPolynomial(dict(sorted(product.terms.items(), reverse=r)), 4)
+                             for r in (False, True))
+    assert e_to_jack(ascending, 1).terms == e_to_jack(descending, 1).terms
+
+
 def test_e_to_jack_rejects_inhomogeneous():
     f = EPolynomial.term((2,), 2) + EPolynomial.term((1,), 2)
     with pytest.raises(ValueError):
