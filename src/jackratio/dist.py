@@ -11,15 +11,16 @@ enters as p_1^k C_tau with p_1 = x_1 + ... + x_{n-1}, so the linearization
 numbers are never formed one by one.  The build runs forward instead (see
 `_ForwardBuild`): u_{0,t} = sum_{|tau|=t} [a_tau]_tau C_tau, each step
 multiplies every u_{k,t} by p_1 with the closed-form Pieri rule, and c[k,t]
-is scalar_k/t! times the delta functional L_0 applied to u_{k,t}.  The
-build's inner loops run over ints: u_{k,t}, L_0 and the Pieri moves are
-indexed by each partition's rank in `partitions_of`, over one denominator
-per vector or weight, and each c[k,t] is a reduced (numerator,
-denominator).  No c[k,t] depends on K, so one build per (m, n, beta,
-t_max) is extended in place and the table at K is its k <= K prefix: a
-convergence search pays for one build to its final K.  That build is the
-only per-shape cache: it holds the series' ingredients, its exact leading
-constant and its tables by K.
+is scalar_k/t! times the delta functional L_0 applied to u_{k,t}.  With one
+inner variable (n = 2) C_(w)(y) = y^w and p_1 C_(w) = C_(w+1), so every step
+is the identity and the build makes none.  The build's inner loops run over
+ints: u_{k,t}, L_0 and the Pieri moves are indexed by each partition's rank
+in `partitions_of`, over one denominator per vector or weight, and each
+c[k,t] is a reduced (numerator, denominator).  No c[k,t] depends on K, so
+one build per (m, n, beta, t_max) is extended in place and the table at K
+is its k <= K prefix: a convergence search pays for one build to its final
+K.  That build is the only per-shape cache: it holds the series'
+ingredients, its exact leading constant and its tables by K.
 
 Everything inside the double series is an exact rational, and so is
 almost all of the one leading constant: for beta in {1, 2, 4} its gamma
@@ -87,7 +88,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
 from operator import mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -711,13 +711,15 @@ class _ForwardBuild:
         u_{k+1,t} = p_1 u_{k,t}                      (one Pieri step)
         c[k,t]    = scalar_k / t! * <L_0, u_{k,t}>
 
-    with scalar_k = (gamma_arg)_k / (base^k k!) and L_0 from
-    `_DeltaFunctional`.  Each u_{k,t} is a list of integer numerators, by
-    the rank of tau in `partitions_of`, over one denominator; `rows[k]`
-    holds each nonzero c[k,t] as a reduced (numerator, denominator), and
-    the table at K is the k <= K prefix of `rows`.  The build also owns the
-    leading constant of its tables and, in `tables`, the tables that
-    `get_table` has handed out, by K, with their collapses.
+    with scalar_k = (gamma_arg)_k / (base^k k!), a reduced int pair, and L_0
+    from `_DeltaFunctional`.  With one inner variable the Pieri step is the
+    identity, so u_{k,t} = u_{0,t} and no step is made.  Each u_{k,t} is a
+    list of integer numerators, by the rank of tau in `partitions_of`, over
+    one denominator; `rows[k]` holds each nonzero c[k,t] as a reduced
+    (numerator, denominator), and the table at K is the k <= K prefix of
+    `rows`.  The build also owns the leading constant of its tables and, in
+    `tables`, the tables that `get_table` has handed out, by K, with their
+    collapses.
     """
 
     def __init__(self, m: int, n: int, beta: int, t_max: int):
@@ -725,7 +727,8 @@ class _ForwardBuild:
         self.const = _leading(*_series_constant(m, n, beta), n)
         self.tables: Dict[int, SeriesTable] = {}
         self.rows: List[Dict[int, Tuple[int, int]]] = []  # rows[k]: {t: c[k,t]}, c != 0
-        self._scalar = Fraction(1)
+        self._scalar = (1, 1)  # scalar_k as (numerator, denominator)
+        self._factorials = list(accumulate(range(1, spec.t_max + 1), mul, initial=1))
         self._moves = _PIERI_MOVES.setdefault((spec.beta, spec.nvars), {})
         self._ell = _DELTA_FUNCTIONAL.setdefault(
             (spec.beta, spec.nvars, spec.a_num, spec.a_den), _DeltaFunctional(spec))
@@ -741,13 +744,19 @@ class _ForwardBuild:
 
     def extend(self, K: int) -> None:
         s = self.spec
+        gn, gd = s.gamma_arg.as_integer_ratio()
         while len(self.rows) <= K:
             k = len(self.rows)
             if k:
-                self._vectors = [(t, *_pieri_step(u, den, *self._moves_out_of(k - 1 + t)))
-                                 for t, u, den in self._vectors]
-                self._scalar *= (s.gamma_arg + k - 1) / (s.base * k)
-            sn, sd = self._scalar.numerator, self._scalar.denominator
+                # one inner variable: p_1 C_(w) = C_(w+1), so every step is the identity
+                if s.nvars > 1:
+                    self._vectors = [(t, *_pieri_step(u, den, *self._moves_out_of(k - 1 + t)))
+                                     for t, u, den in self._vectors]
+                sn, sd = self._scalar
+                sn, sd = sn * (gn + (k - 1) * gd), sd * gd * s.base * k
+                g = math.gcd(sn, sd)
+                self._scalar = sn // g, sd // g
+            sn, sd = self._scalar
             # L_0 up to the heaviest vector's weight, once per row
             self._ell.at(k + self._vectors[-1][0] if self._vectors else 0)
             levels, row = self._ell.levels, {}
@@ -755,7 +764,7 @@ class _ForwardBuild:
                 ell, ell_den = levels[k + t]
                 inner = sum(map(mul, ell, u)) * sn
                 if inner:
-                    d = den * ell_den * sd * factorial(t)
+                    d = den * ell_den * sd * self._factorials[t]
                     g = math.gcd(inner, d)
                     row[t] = inner // g, d // g
             self.rows.append(row)

@@ -112,6 +112,14 @@ class EPolynomial:
         self.terms = {k: v for k, v in clean.items() if v}
 
     @classmethod
+    def _of_normalized(cls, terms: Dict[Partition, Fraction], m: int) -> "EPolynomial":
+        """The polynomial of terms whose keys are already normalized with at
+        most m parts and whose values are Fractions, without a second pass."""
+        poly = cls.__new__(cls)
+        poly.m, poly.terms = m, {k: v for k, v in terms.items() if v}
+        return poly
+
+    @classmethod
     def zero(cls, m: int) -> "EPolynomial":
         return cls({}, m)
 

@@ -209,13 +209,15 @@ def load_expansion_cache(path: str) -> int:
             terms = {}
             for key, val in entry["terms"].items():
                 mu = normalize(int(p) for p in key.split(",") if p != "")
+                if len(mu) > m:
+                    raise ValueError(f"term E_{mu} needs more than {m} variables")
                 terms[mu] = Fraction(val)
-            loaded[(kappa, beta, m)] = EPolynomial(terms, m)
+            loaded[(kappa, beta, m)] = EPolynomial._of_normalized(terms, m)
     except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed cache entry: {exc!r}") from exc
     for (kappa, beta, m), poly in loaded.items():
         if (poly.terms.get(kappa) != leading_elementary_coeff(kappa, beta)
-                or poly.evaluate([Fraction(1)] * m) != jack_at_identity(kappa, beta, m)):
+                or poly.evaluate([1] * m) != jack_at_identity(kappa, beta, m)):
             raise ValueError(f"cache entry C_{kappa} (beta={beta}, m={m}) fails the "
                              "leading-coefficient or identity-value check")
     _EXPANSION_CACHE.update(loaded)

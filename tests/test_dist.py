@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -596,6 +597,83 @@ def test_convergence_search_picks_the_same_K():
     clear_build_caches()
     picked = [auto_converged_params(m, 2, 1, moments=4).K for m in (5, 25, 45, 65, 85, 105)]
     assert picked == [50, 100, 100, 100, 100, 100]
+
+
+def test_pieri_moves_in_one_variable_are_the_identity():
+    # what lets an n = 2 build skip every Pieri step: p_1 C_(w) = C_(w+1)
+    for beta in (1, 2, 4):
+        for w in range(61):
+            sources, targets, nums, den, size = dist_mod._pieri_moves(w, Fraction(beta), 1)
+            assert (sources, targets, nums, size) == ((0,), (0,), (den,), 1)
+
+
+def test_n2_search_makes_no_pieri_step(monkeypatch):
+    calls = count_pieri_steps(monkeypatch)
+    clear_build_caches()
+    assert auto_converged_params(105, 2, 1, moments=4).K == 100
+    assert calls[0] == 0
+    clear_build_caches()
+    auto_converged_params(10, 3, 1)
+    assert calls[0] > 0
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# SHA-256 of (_denominator, _nums, _last_row) and of the sorted cells (k, t,
+# numerator, denominator) of every table the n = 2 searches build, recorded
+# when each Pieri step still ran: the build that skips them must match
+N2_SEARCH_DIGESTS = {
+    (5, 25): ("53a1bccc570e445dae009fc1fab08385fed765bc80d36888be65648c4a74b4f4",
+              "48461f0d849c8227b131b0c4fe6acf900746d7eafab76881b3d4fb31ceccdf9a"),
+    (5, 50): ("4b388fcb726ca305499f60fd57eee435053be73e6a38390082eeede3bb8a4ca8",
+              "38dfa3bdf81152a1a7d752cb522275170ce3c44a5804653801bc6ef511878850"),
+    (25, 25): ("8386fa9fcc2c3b3c017af6314078843ddf4c058a085dbfe9006b58c2755a208f",
+               "966159d916305336766fa80437b408780b5439382f387ab8aa3cfcc26e19125d"),
+    (25, 50): ("e48ef3f1b2932c5258f16c48a93c5c6e6302de83f5fe9a5d94cc1d0334df51aa",
+               "dc4261c5b4c811a39f300fe8b6112c6b13674bf3a927039821dcc6818f9527da"),
+    (25, 100): ("9acefcfddfb2a7581528f92875d609217d927dbcebc4641b4471c131a58e38d7",
+                "9716fdf8c1949851f89e85fe9f85398a3efff06d55324c429e1d794c7bd974b5"),
+    (45, 25): ("c77d0f4c0a741755b35091684eceb068a774fbabd0362a5e643dfb572b392c02",
+               "17b17c0cfb98f445219bcf544c60338bc00e27043161fd36731cf70485047574"),
+    (45, 50): ("52c2a6a47f772f03cd4fab4fb607cbed4c5fcb95989a32c06e269960e6aa7f37",
+               "9b31cf0d8b36a644a3c7e4e785839007394c26e4b617789180e10004f258e5cb"),
+    (45, 100): ("e885192206ba2c427f32f04f4df8629331413a682912bd67534ccdc98f68364b",
+                "07d5667aab614d351e168a0cb325877936d1897233ccac57512399ff6105a1c3"),
+    (65, 25): ("5644eac60faf25d3051f3310e699a2abdbc729af1bb08ca37b9828005f5ad55a",
+               "374f7509bad46490536b575ccef2710f47414f0476a35f58183ea52180a21768"),
+    (65, 50): ("b76d1090b2f40cd1b3361161e21f8d7d09bcc19cfe9a29a9608fb1cd31d3045a",
+               "d93fb03cdb86c4a5dea219e1d5e5c889dc3d57a66b45227e5c5d7b21ccaec6f0"),
+    (65, 100): ("0a488712974767abfa38769e1f38b0d6de8ac898ac47ccbbd641ff32bafb987b",
+                "bc3c97d8c0e1a40bad5c84fd7aed924dc7c9b8de40a9320f266220bf656e65ea"),
+    (85, 25): ("d2f486232a00adb77c27293c8fdc8b6b01817e0169e353591a04b142418fe333",
+               "4770e8b4ab4cbf92e451702ced9533a4d33427e7a25c454b0061214fbd717e7a"),
+    (85, 50): ("fab06f7f1e1462b81427bdb9568b03e34c8e6f58c1a13b989cf3eca8baadad77",
+               "2f4eb36f914331c5a308acd319ad94f751d6322d372381c82cd0eafb19457c0b"),
+    (85, 100): ("44c21514de5ea028bf465c6a07efd32b825fe6457c3f62a802b53203824932a4",
+                "7c3b89bb630dc092b15516b6188e4ca33d01267c8cd72c1391b87cddfcda84d3"),
+    (105, 25): ("73f7b1180778431e7edc016c8c3f404e675309e7e6206b9822957459971eca69",
+                "935dc9f9eba22474b07325704a4f9d6b02a220af00357d63ac6619526f71b36d"),
+    (105, 50): ("414444799d6c27e6475d7f80e573f284fe8a6a4e870f993e7123d62739330854",
+                "389f92cec6c75722169eac93bee19296ffb8601183352684adc0a4502411452a"),
+    (105, 100): ("c678e8b830ec3a62644783449566d24af75132a6a71029c4a4468e84335a1b38",
+                 "9e53057e0be6c5b3610007a4891986e4b1e98dc937bd064d147f3aa4542153dc"),
+}
+
+
+def test_n2_search_tables_match_recorded_digests():
+    found = {}
+    for m in range(5, 106, 20):
+        clear_build_caches()
+        auto_converged_params(m, 2, 1, moments=4)
+        (build,) = dist_mod._BUILDS.values()
+        for K, table in build.tables.items():
+            cells = sorted((k, t, c.numerator, c.denominator)
+                           for (k, t), c in table.coeffs.items())
+            found[(m, K)] = (digest((table._denominator, table._nums, table._last_row)),
+                             digest(cells))
+    assert found == N2_SEARCH_DIGESTS
 
 
 def test_one_build_owns_the_tables_of_a_search():

@@ -185,8 +185,10 @@ def test_cache_rejects_unknown_version(tmp_path):
     {"version": 1, "entries": [{"kappa": [1, 2], "beta": "1", "m": 2, "terms": {}}]},
     {"version": 1, "entries": [{"kappa": [1], "beta": "1", "m": 2, "terms": {"1": "5"}}]},
     {"version": 1, "entries": [{"kappa": [1], "beta": "1", "m": 2, "terms": {}}]},
+    {"version": 1, "entries": [{"kappa": [1], "beta": "1", "m": 1,
+                                "terms": {"1": "1", "1,1": "0"}}]},
 ], ids=["list", "string", "no-entries", "entries-not-a-list", "missing-keys",
-        "bad-beta", "bad-partition", "wrong-leading-coeff", "empty-terms"])
+        "bad-beta", "bad-partition", "wrong-leading-coeff", "empty-terms", "too-many-parts"])
 def test_cache_rejects_malformed_snapshot(tmp_path, payload):
     import json
     path = os.path.join(tmp_path, "bad.json")

@@ -7,13 +7,17 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_concordance(*args):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "mc_concordance.py"), *args],
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_concordance(*args):
+    return run_script("mc_concordance.py", *args)
 
 
 def test_mc_concordance_runs():
@@ -42,3 +46,14 @@ def test_mc_concordance_rejects_bad_parameters_before_sampling(args, message):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert "sampled" not in proc.stdout
+
+
+def test_reproduce_tables_writes_the_recorded_files(tmp_path):
+    golden = os.path.join(ROOT, "tests", "reproduce_tables_golden")
+    proc = run_script("reproduce_tables.py", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(golden))
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(golden, name), "rb") as want, open(tmp_path / name, "rb") as got:
+            assert got.read() == want.read(), name
