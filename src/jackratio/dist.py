@@ -85,10 +85,9 @@ import math
 import numbers
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .partitions import Partition, partitions_of
@@ -116,28 +115,40 @@ class TruncationError(RuntimeError):
     """The requested quantity needs a larger truncation order."""
 
 
-@dataclass(frozen=True)
-class DistParams:
-    """Parameters of the singular-case distribution evaluator.
-
-    m, n   : data matrix shape, m > n >= 2 (so the Wishart matrix is singular)
-    beta   : 1, 2 or 4
-    K      : outer truncation order; defaults to 25 for beta=1, 40 otherwise
-    t_max  : inner truncation order; defaults to the natural finite bound
-    """
+class _DistParamsFields(NamedTuple):
     m: int
     n: int
     beta: int = 1
     K: Optional[int] = None
     t_max: Optional[int] = None
 
-    def __post_init__(self):
-        _check_integers(m=self.m, n=self.n, beta=self.beta)
-        _check_orders(self.K, self.t_max)
-        if self.beta not in (1, 2, 4):
+
+class DistParams(_DistParamsFields):
+    """Parameters of the singular-case distribution evaluator.
+
+    m, n   : data matrix shape, m > n >= 2 (so the Wishart matrix is singular)
+    beta   : 1, 2 or 4
+    K      : outer truncation order; defaults to 25 for beta=1, 40 otherwise
+    t_max  : inner truncation order; defaults to the natural finite bound
+
+    An immutable tuple of its fields, checked in `__new__`, which unpickling
+    and `_replace` go through too.
+    """
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, beta: int = 1, K: Optional[int] = None,
+                t_max: Optional[int] = None) -> DistParams:
+        m, n, beta = _check_integers(m=m, n=n, beta=beta)
+        K, t_max = _check_orders(K, t_max)
+        if beta not in (1, 2, 4):
             raise ValueError("beta must be 1, 2 or 4")
-        if not (self.m > self.n >= 2):
+        if not (m > n >= 2):
             raise ValueError("need m > n >= 2")
+        return super().__new__(cls, m, n, beta, K, t_max)
+
+    @classmethod
+    def _make(cls, iterable) -> DistParams:
+        return cls(*iterable)
 
     @property
     def resolved_K(self) -> int:
@@ -150,21 +161,29 @@ class DistParams:
         return _resolve_t_max(self.m, self.n, self.beta, self.t_max)
 
 
-def _check_integers(**values) -> None:
-    """ValueError unless every value that is not None is an integer (bools
-    are not: True would pass for 1)."""
+def _check_integers(**values) -> List[Optional[int]]:
+    """The values as Python ints, None kept; ValueError unless every value
+    that is not None is an integer (bools are not: True would pass for 1).
+    `operator.index` turns numpy integers into ints, so they never reach
+    the exact arithmetic, where they would overflow."""
+    out = []
     for name, value in values.items():
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value is not None:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = index(value)
+        out.append(value)
+    return out
 
 
-def _check_orders(K: Optional[int], t_max: Optional[int]) -> None:
-    """ValueError unless the truncation orders given are nonnegative integers."""
-    _check_integers(K=K, t_max=t_max)
+def _check_orders(K: Optional[int], t_max: Optional[int]) -> List[Optional[int]]:
+    """K and t_max as Python ints, None kept; ValueError unless the orders
+    given are nonnegative integers."""
+    K, t_max = _check_integers(K=K, t_max=t_max)
     for name, value in (("K", K), ("t_max", t_max)):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be nonnegative")
+    return [K, t_max]
 
 
 def _threshold(m: int, n: int, beta: int) -> Fraction:
@@ -183,8 +202,7 @@ def _resolve_t_max(m: int, n: int, beta: int, t_max: Optional[int]) -> int:
         "pass t_max explicitly")
 
 
-@dataclass(frozen=True)
-class _SeriesSpec:
+class _SeriesSpec(NamedTuple):
     """Raw ingredients of one series, its inner sum cut at t_max."""
     nvars: int
     beta: Fraction
@@ -213,8 +231,7 @@ def _spec(m: int, n: int, beta: int, t_max: int) -> _SeriesSpec:
     )
 
 
-@dataclass(frozen=True)
-class LeadingConstant:
+class LeadingConstant(NamedTuple):
     """A constant q * c: q an exact Fraction and c one float, the part of
     n^-f that is not rational (see `_leading`).  For a series table c is
     1.0 where m n beta is even and 1/sqrt(n), rounded once, where it is
@@ -1061,7 +1078,7 @@ class SeriesTable:
     def _moment_sums(self, h: int) -> Tuple[int, int, float]:
         """(T, B, r), once per h: E[X^h] = const * T / B exactly, and r is its
         last K increment relative to the total."""
-        _check_integers(h=h)
+        h, = _check_integers(h=h)
         if h < 0:
             raise ValueError("moment order must be a nonnegative integer")
         if h not in self._moments:
@@ -1175,10 +1192,10 @@ def get_table(params: DistParams) -> SeriesTable:
 
 def get_general_table(n1: int, n2: int, K: int, t_max: Optional[int] = None) -> SeriesTable:
     """Series table for the real-case formulation valid for any n1 <= n2."""
-    _check_integers(n1=n1, n2=n2)
+    n1, n2 = _check_integers(n1=n1, n2=n2)
     if K is None:
         raise ValueError("K must be an integer, got None")
-    _check_orders(K, t_max)
+    K, t_max = _check_orders(K, t_max)
     if not (2 <= n1 <= n2):
         raise ValueError("need 2 <= n1 <= n2")
     return _table(n2, n1, 1, K, t_max)
@@ -1191,7 +1208,7 @@ def auto_converged_params(m: int, n: int, beta: int = 1, moments: int = 0) -> Di
     With moments > 0 the monitor must also pass for each moment order up to
     that bound (the h-weighted tails decay slightly slower than the mass).
     """
-    _check_integers(moments=moments)
+    moments, = _check_integers(moments=moments)
     if moments < 0:
         raise ValueError("moments must be nonnegative")
     K = DistParams(m=m, n=n, beta=beta).resolved_K

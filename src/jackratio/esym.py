@@ -31,11 +31,10 @@ duplicated concurrent computation just rewrites the same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .partitions import Partition, normalize, pad, weight
 
@@ -200,8 +199,7 @@ def elementary_values(xs, m: int):
 # operator rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LBRow:
+class LBRow(NamedTuple):
     """One row of the operator matrix on the E basis: the expansion of D(E_source)."""
     source: Partition
     beta: Fraction

@@ -24,10 +24,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .esym import EPolynomial, eigenvalue_closed_form, laplace_beltrami_row
 from .partitions import (
@@ -44,8 +43,7 @@ class DegenerateBetaError(ValueError):
     """Two partitions of one weight collided on the operator diagonal."""
 
 
-@dataclass(frozen=True)
-class JackExpansion:
+class JackExpansion(NamedTuple):
     """A linear combination of Jack polynomials C_delta at fixed beta and m."""
     terms: Tuple[Tuple[Partition, Fraction], ...]
     beta: Fraction

@@ -47,17 +47,16 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import warnings
-from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 CHUNK = 65536
 
 
-@dataclass(frozen=True)
-class McConfig:
+class _McConfigFields(NamedTuple):
     m: int
     n: int
     beta: int = 1
@@ -65,24 +64,39 @@ class McConfig:
     seed: int = 0
     statistic: str = "one_minus_ratio"
 
-    def __post_init__(self):
-        for name in ("m", "n", "beta", "replications", "seed"):
-            value = getattr(self, name)
+
+class McConfig(_McConfigFields):
+    """An immutable tuple of its fields, checked in `__new__`, which
+    unpickling and `_replace` go through too."""
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, beta: int = 1, replications: int = 1,
+                seed: int = 0, statistic: str = "one_minus_ratio") -> McConfig:
+        ints = []
+        for name, value in (("m", m), ("n", n), ("beta", beta),
+                            ("replications", replications), ("seed", seed)):
             # bools are ints to Python, but True is no sample size; a seed of
             # None would draw OS entropy and make the run unrepeatable
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not (self.m > self.n >= 2):
+            ints.append(operator.index(value))
+        m, n, beta, replications, seed = ints
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        if not (m > n >= 2):
             raise ValueError("need m > n >= 2")
-        if self.beta not in (1, 2, 4):
+        if beta not in (1, 2, 4):
             raise ValueError("sampling supports beta = 1 (real), 2 (complex) "
                              "and 4 (quaternion)")
-        if self.replications < 1:
+        if replications < 1:
             raise ValueError("need at least one replication")
-        if self.statistic not in ("ratio", "one_minus_ratio"):
+        if statistic not in ("ratio", "one_minus_ratio"):
             raise ValueError("statistic must be 'ratio' or 'one_minus_ratio'")
+        return super().__new__(cls, m, n, beta, replications, seed, statistic)
+
+    @classmethod
+    def _make(cls, iterable) -> McConfig:
+        return cls(*iterable)
 
 
 def _degrees_of_freedom(cfg: McConfig) -> np.ndarray:

@@ -74,6 +74,25 @@ def test_params_validation():
         auto_converged_params(10, 3, 1, moments=-1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda i: get_table(DistParams(m=10, n=3, beta=i(2), K=25)).collapsed(),
+    lambda i: get_table(DistParams(m=i(8), n=i(5), K=10)).collapsed(),
+    lambda i: get_general_table(i(3), i(10), i(10)).collapsed(),
+    lambda i: auto_converged_params(i(25), 2, 1),
+    lambda i: get_table(DistParams(m=10, n=3, K=25)).moment(i(2)),
+    lambda i: get_table(DistParams(m=10, n=3, K=25)).moment_monitor(i(1)),
+])
+def test_numpy_integers_give_the_python_int_results(monkeypatch, call):
+    # numpy scalars once reached the exact arithmetic and overflowed there
+    results = []
+    for i in (int, np.int64, np.int32):
+        monkeypatch.setattr(dist_mod, "_BUILDS", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            results.append(call(i))
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 def test_default_truncation_orders():
     p = DistParams(m=10, n=3, beta=1)
     assert p.resolved_K == 25

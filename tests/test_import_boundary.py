@@ -1,5 +1,6 @@
 """numpy loads only where arrays are used: the sampler and `cdf_many`; the
-E-basis layers (`jack`, `esym`) only where the symbolic commands use them.
+E-basis layers (`jack`, `esym`) only where the symbolic commands use them;
+`dataclasses` (with `inspect` and `ast` behind it) nowhere a command runs.
 
 Each check runs in a fresh interpreter, because the test process itself has
 numpy loaded already.
@@ -67,6 +68,23 @@ def test_dist_commands_do_not_import_the_symbolic_layers(argv):
         f"assert jackratio.cli.main({argv!r}) == 0\n"
         "print([m for m in ('jackratio.jack', 'jackratio.esym') if m in sys.modules])\n")
     assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "quantile", "--m", "10", "--n", "3", "--K", "10", "--alpha", "0.5"],
+    ["dist", "table1", "--variant", "a"],
+    ["dist", "fig1", "--m-grid", "5:25:20"],
+    ["jack", "product", "--left", "2,1", "--right", "2", "--m", "2"],
+    ["lb-row", "--nu", "3,2", "--m", "2"],
+])
+def test_commands_start_without_dataclasses(argv):
+    out = run_python(
+        "import sys, warnings\n"
+        "warnings.simplefilter('ignore')\n"
+        "import jackratio.cli\n"
+        f"assert jackratio.cli.main({argv!r}) == 0\n"
+        "print('dataclasses' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"
 
 
 def test_sim_still_samples():
