@@ -13,14 +13,15 @@ numbers are never formed one by one.  The build runs forward instead (see
 multiplies every u_{k,t} by p_1 with the closed-form Pieri rule, and c[k,t]
 is scalar_k/t! times the delta functional L_0 applied to u_{k,t}.  With one
 inner variable (n = 2) C_(w)(y) = y^w and p_1 C_(w) = C_(w+1), so every step
-is the identity and the build makes none.  The build's inner loops run over
-ints: u_{k,t}, L_0 and the Pieri moves are indexed by each partition's rank
-in `partitions_of`, over one denominator per vector or weight, and each
-c[k,t] is a reduced (numerator, denominator).  No c[k,t] depends on K, so
-one build per (m, n, beta, t_max) is extended in place and the table at K
-is its k <= K prefix: a convergence search pays for one build to its final
-K.  That build is the only per-shape cache: it holds the series'
-ingredients, its exact leading constant and its tables by K.
+is the identity and the build makes none: c[k,t] = s_k a_t l_(k+t) is a
+product of three sequences.  The build's inner loops run over ints:
+u_{k,t}, L_0 and the Pieri moves are indexed by each partition's rank in
+`partitions_of`, over one denominator per vector or weight, and each c[k,t]
+is a reduced (numerator, denominator).  No c[k,t] depends on K, so one
+build per (m, n, beta, t_max) is extended in place and the table at K is
+its k <= K prefix: a convergence search pays for one build to its final K.
+That build is the only per-shape cache: it holds the series' ingredients,
+its exact leading constant and its tables by K.
 
 Everything inside the double series is an exact rational, and so is
 almost all of the one leading constant: for beta in {1, 2, 4} its gamma
@@ -51,20 +52,24 @@ last bits, within its bound, with the centres earlier calls built;
 `cdf_many` gives bitwise the values `cdf` gives after it.
 
 The exact passes run over Python ints.  Each table keeps one common
-denominator D, the lcm of the denominators of its c[k,t], and works on the
-integer numerators c * D.  Every exact value leaves the package the same
-way (see `_scaled_float`): the ratio of integers times q is correctly
-rounded by Python's int true division, and only the product with c rounds
-again, which is exact where c = 1.0.  The exact fallback writes the float
-x as p/2^e and runs Horner in fixed point, s = (s p >> e) + N_j 2^G, with
-G guard bits: s stays within len(N) + 1 of 2^G times the sum, and G grows
-until both ends of that interval round to the same float, or until no
-step truncates (see `_exact_value`).
+denominator D, the least that makes its collapse (below) integral, and
+works on the integer numerators over D.  Every exact value leaves the
+package the same way (see `_scaled_float`): the ratio of integers times q
+is correctly rounded by Python's int true division, and only the product
+with c rounds again, which is exact where c = 1.0.  The exact fallback
+writes the float x as p/2^e and runs Horner in fixed point, s = (s p >> e)
++ N_j 2^G, with G guard bits: s stays within len(N) + 1 of 2^G times the
+sum, and G grows until both ends of that interval round to the same
+float, or until no step truncates (see `_exact_value`).
 
-Every exact pass reads one integer collapse of the table, which extends
-that of the largest smaller table of its build: D, the numerators N_j = D
-* sum_{k+t=j} c[k,t] of the powers x^(rho+j), j = 0..K+t_max, and the
-numerators of row K.  The moment E[X^h] weighs c[k,t] by e/(e+h) with e =
+Every exact pass reads one integer collapse of the table
+(`_ForwardBuild.collapse`): D, the numerators N_j = D * sum_{k+t=j} c[k,t]
+of the powers x^(rho+j), j = 0..K+t_max, and the numerators of row K.  At
+n = 2 it is one convolution of integer sequences, l_j sum_{k+t=j} s_k a_t,
+and no cell is formed: the cells are made on the first read of `coeffs`,
+or for the last-column monitor of a table whose inner sum does not end by
+t_max.  Otherwise it extends the collapse of the largest smaller table of
+its build.  The moment E[X^h] weighs c[k,t] by e/(e+h) with e =
 rho+k+t, which depends on k+t only, so its total is sum_j N_j e/(e+h) over
 the K+t_max+1 powers (in ints over the lcm of the reduced denominators of
 e/(e+h)) and the last K increment, which the monitor compares with it, is
@@ -76,7 +81,12 @@ from the same integer totals, exactly (see there).
 The truncation orders: the outer series is cut at K, the inner one at
 t_max.  When p = beta*(m - n + 1)/2 - 1 is a nonnegative integer the inner
 sum is finite by itself (Pochhammer factors vanish for tau_1 > p) and
-t_max defaults to p*(n-1); otherwise t_max must be supplied.
+t_max defaults to p*(n-1); otherwise t_max must be supplied.  Where the
+inner sum does not end by t_max, a second monitor watches t as the first
+watches K: the share of the mass in the last column t = t_max
+(`diagnostics["last_column_rel"]`).  Both are estimates of what the cut
+drops, not bounds: at (10,2,1,K=400,t_max=200) the column reads 1.9e-9
+while the mass is 8.2e-8 short of 1.
 """
 
 from __future__ import annotations
@@ -186,17 +196,21 @@ def _check_orders(K: Optional[int], t_max: Optional[int]) -> List[Optional[int]]
     return [K, t_max]
 
 
-def _threshold(m: int, n: int, beta: int) -> Fraction:
-    return Fraction(beta * (m - n + 1), 2) - 1
+def _natural_t_max(m: int, n: int, beta: int) -> Optional[int]:
+    """The order p*(n-1) at which the inner sum terminates by itself, or None
+    where p = beta*(m - n + 1)/2 - 1 is not a nonnegative integer and it
+    never does."""
+    p = Fraction(beta * (m - n + 1), 2) - 1
+    return int(p) * (n - 1) if p.denominator == 1 and p >= 0 else None
 
 
 def _resolve_t_max(m: int, n: int, beta: int, t_max: Optional[int]) -> int:
     """t_max itself, or the order at which the inner sum terminates by itself."""
     if t_max is not None:
         return t_max
-    p = _threshold(m, n, beta)
-    if p.denominator == 1 and p >= 0:
-        return int(p) * (n - 1)
+    natural = _natural_t_max(m, n, beta)
+    if natural is not None:
+        return natural
     raise ValueError(
         "t_max has no finite default here (the inner series does not terminate); "
         "pass t_max explicitly")
@@ -714,6 +728,16 @@ class _DeltaFunctional:
         return self.levels[weight]
 
 
+def _over_lcm(pairs: Sequence[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Rationals given as (numerator, denominator) pairs, as integer
+    numerators over their least common denominator, and that denominator:
+    the lcm of the given ones, less what it shares with every numerator."""
+    den = math.lcm(*(d for _, d in pairs))
+    nums = [n * (den // d) for n, d in pairs]
+    g = math.gcd(den, *nums)
+    return ([n // g for n in nums], den // g) if g > 1 else (nums, den)
+
+
 # per-weight integer data of the build, shared by every table that needs it:
 # Pieri moves by weight per (beta, nvars), L_0 per (beta, nvars, a_num, a_den)
 _PIERI_MOVES: Dict[Tuple[Fraction, int], Dict[int, tuple]] = {}
@@ -734,17 +758,23 @@ class _ForwardBuild:
     list of integer numerators, by the rank of tau in `partitions_of`, over
     one denominator; `rows[k]` holds each nonzero c[k,t] as a reduced
     (numerator, denominator), and the table at K is the k <= K prefix of
-    `rows`.  The build also owns the leading constant of its tables and, in
-    `tables`, the tables that `get_table` has handed out, by K, with their
-    collapses.
+    `rows`.  With one inner variable the collapse needs no row, so `rows`
+    grows only on the first read of a table's `coeffs`, or for the
+    last-column monitor where the inner sum does not end by t_max
+    (`terminates` is False).  The build also owns the
+    leading constant of its tables and, in `tables`, the tables that
+    `get_table` has handed out, by K, with their collapses.  `terminates`
+    says whether every u_{0,t} with t > t_max vanishes.
     """
 
     def __init__(self, m: int, n: int, beta: int, t_max: int):
         self.spec = spec = _spec(m, n, beta, t_max)
         self.const = _leading(*_series_constant(m, n, beta), n)
         self.tables: Dict[int, SeriesTable] = {}
+        natural = _natural_t_max(m, n, beta)
+        self.terminates = natural is not None and natural <= t_max
         self.rows: List[Dict[int, Tuple[int, int]]] = []  # rows[k]: {t: c[k,t]}, c != 0
-        self._scalar = (1, 1)  # scalar_k as (numerator, denominator)
+        self._scalars = [(1, 1)]  # scalar_k as reduced (numerator, denominator)
         self._factorials = list(accumulate(range(1, spec.t_max + 1), mul, initial=1))
         self._moves = _PIERI_MOVES.setdefault((spec.beta, spec.nvars), {})
         self._ell = _DELTA_FUNCTIONAL.setdefault(
@@ -760,20 +790,14 @@ class _ForwardBuild:
                 self._vectors.append((t, [v.numerator * (den // v.denominator) for v in u], den))
 
     def extend(self, K: int) -> None:
-        s = self.spec
-        gn, gd = s.gamma_arg.as_integer_ratio()
+        scalars = self._scalars_to(K)
         while len(self.rows) <= K:
             k = len(self.rows)
-            if k:
-                # one inner variable: p_1 C_(w) = C_(w+1), so every step is the identity
-                if s.nvars > 1:
-                    self._vectors = [(t, *_pieri_step(u, den, *self._moves_out_of(k - 1 + t)))
-                                     for t, u, den in self._vectors]
-                sn, sd = self._scalar
-                sn, sd = sn * (gn + (k - 1) * gd), sd * gd * s.base * k
-                g = math.gcd(sn, sd)
-                self._scalar = sn // g, sd // g
-            sn, sd = self._scalar
+            # one inner variable: p_1 C_(w) = C_(w+1), so every step is the identity
+            if k and self.spec.nvars > 1:
+                self._vectors = [(t, *_pieri_step(u, den, *self._moves_out_of(k - 1 + t)))
+                                 for t, u, den in self._vectors]
+            sn, sd = scalars[k]
             # L_0 up to the heaviest vector's weight, once per row
             self._ell.at(k + self._vectors[-1][0] if self._vectors else 0)
             levels, row = self._ell.levels, {}
@@ -786,38 +810,109 @@ class _ForwardBuild:
                     row[t] = inner // g, d // g
             self.rows.append(row)
 
+    def _scalars_to(self, K: int) -> List[Tuple[int, int]]:
+        """scalar_0..scalar_K (at least) as reduced (numerator, denominator)."""
+        s = self.spec
+        gn, gd = s.gamma_arg.as_integer_ratio()
+        scalars = self._scalars
+        while len(scalars) <= K:
+            k = len(scalars)
+            sn, sd = scalars[-1]
+            sn, sd = sn * (gn + (k - 1) * gd), sd * gd * s.base * k
+            g = math.gcd(sn, sd)
+            scalars.append((sn // g, sd // g))
+        return scalars
+
     def _moves_out_of(self, weight: int):
         if weight not in self._moves:
             self._moves[weight] = _pieri_moves(weight, self.spec.beta, self.spec.nvars)
         return self._moves[weight]
 
     def collapse(self, K: int) -> Tuple[int, List[int], List[Tuple[int, int]]]:
-        """(D, N, last) of the table at K: the lcm D of the denominators of
-        its c[k,t], N_j = D sum_{k+t=j} c[k,t] and the (t, D c[K,t]); the
-        largest table below K gives its own, rescaled once to the new D."""
+        """(D, N, last) of the table at K: N_j = D sum_{k+t=j} c[k,t] and the
+        (t, D c[K,t]) of row K's nonzero cells, over the least D that makes
+        them all integers (one gcd takes out what the D at hand shares with
+        every N_j and row K).
+
+        With one inner variable c[k,t] = s_k a_t l_(k+t), so with s_k =
+        S_k/sigma, a_t = A_t/alpha and l_w = L_w/lambda (`_sequences`), D =
+        sigma alpha lambda, N_j = L_j sum_{k+t=j} S_k A_t, one convolution of
+        integer sequences, and row K is (t, S_K A_t L_(K+t)): no cell is
+        formed and no gcd, lcm or Fraction is taken per cell.  Otherwise the
+        largest table below K gives its own collapse, rescaled once to the
+        new D, and the rows above it are added cell by cell.
+        """
+        if self.spec.nvars == 1:
+            S, A, L, D = self._sequences(K)
+            nums = [0] * len(L)
+            for t, a in enumerate(A):
+                if a:
+                    for j, v in enumerate(S, t):
+                        nums[j] += v * a
+            nums = [ell * v for ell, v in zip(L, nums)]
+            nums += [0] * (K + self.spec.t_max + 1 - len(nums))
+            last = [(t, S[K] * a * L[K + t]) for t, a in enumerate(A) if a]
+        else:
+            self.extend(K)
+            below = [k for k in self.tables if k < K]
+            start, d, nums = 0, 1, []
+            if below:
+                prev = self.tables[max(below)]
+                start, d, nums = prev.K + 1, prev._denominator, prev._nums
+            rows = self.rows[start:K + 1]
+            D = math.lcm(d, *(den for row in rows for _, den in row.values()))
+            nums = [v * (D // d) for v in nums]
+            nums += [0] * (K + self.spec.t_max + 1 - len(nums))
+            for k, row in enumerate(rows, start):
+                for t, (v, den) in row.items():
+                    nums[k + t] += v * (D // den)
+            last = [(t, v * (D // den)) for t, (v, den) in self.rows[K].items()]
+        g = math.gcd(D, *nums, *(v for _, v in last))
+        if g > 1:
+            D, nums, last = D // g, [v // g for v in nums], [(t, v // g) for t, v in last]
+        return D, nums, last
+
+    def last_column(self, K: int) -> Tuple[int, int]:
+        """sum_{k<=K} c[k,t_max] as (numerator, denominator), from the rows."""
+        t = self.spec.t_max
         self.extend(K)
-        below = [k for k in self.tables if k < K]
-        start, d, nums = 0, 1, []
-        if below:
-            prev = self.tables[max(below)]
-            start, d, nums = prev.K + 1, prev._denominator, prev._nums
-        rows = self.rows[start:K + 1]
-        D = math.lcm(d, *(den for row in rows for _, den in row.values()))
-        nums = [v * (D // d) for v in nums]
-        nums += [0] * (K + self.spec.t_max + 1 - len(nums))
-        for k, row in enumerate(rows, start):
-            for t, (v, den) in row.items():
-                nums[k + t] += v * (D // den)
-        return D, nums, [(t, v * (D // den)) for t, (v, den) in self.rows[K].items()]
+        nums, den = _over_lcm([row[t] for row in self.rows[:K + 1] if t in row])
+        return sum(nums), den
+
+    def _sequences(self, K: int) -> Tuple[List[int], List[int], List[int], int]:
+        """(S, A, L, sigma alpha lambda) for one inner variable: s_k =
+        scalar_k = S_k/sigma for k <= K, a_t = u_{0,t}/t! = A_t/alpha for t up
+        to the last vector (0 where a t has none) and l_w = L_0 at weight w
+        = L_w/lambda for w up to K plus that t, each over its least common
+        denominator."""
+        S, sigma = _over_lcm(self._scalars_to(K)[:K + 1])
+        terms = [(0, 1)] * (self._vectors[-1][0] + 1)
+        for t, (u,), den in self._vectors:
+            terms[t] = (u, den * self._factorials[t])
+        A, alpha = _over_lcm(terms)
+        top = K + len(A) - 1
+        self._ell.at(top)
+        L, lam = _over_lcm([(ell, den) for (ell,), den in self._ell.levels[:top + 1]])
+        return S, A, L, sigma * alpha * lam
 
 
 class _Cells(Mapping):
-    """{(k, t): c[k,t]} over the rows of a build, zeros left out: a read-only
-    view that makes each Fraction when it is read, so a table keeps no copy
-    of its cells."""
+    """{(k, t): c[k,t]} over the rows k <= K of a build, zeros left out: a
+    read-only view that makes each Fraction when it is read, so a table
+    keeps no copy of its cells.  The rows are the build's own; where none
+    is made yet (n = 2, see `_ForwardBuild`), the first read makes them
+    with `_ForwardBuild.extend`."""
 
-    def __init__(self, rows: List[Dict[int, Tuple[int, int]]]):
-        self._rows = rows
+    def __init__(self, build: _ForwardBuild, K: int):
+        self._build, self._K = build, K
+        self._view: Optional[List[Dict[int, Tuple[int, int]]]] = None
+
+    @property
+    def _rows(self) -> List[Dict[int, Tuple[int, int]]]:
+        if self._view is None:
+            self._build.extend(self._K)
+            self._view = self._build.rows[:self._K + 1]
+        return self._view
 
     def __getitem__(self, key):
         k, t = key
@@ -838,10 +933,15 @@ class SeriesTable:
     The cumulative distribution is   const * sum_{k,t} c[k,t] * x^(rho+k+t),
     the density is the term-by-term derivative, and the h-th moment is
     const * sum c[k,t] * (rho+k+t)/(rho+k+t+h).  The c[k,t] are the rows k
-    <= K of `build`, which `coeffs` shows as {(k, t): Fraction}.  Past
-    c[k,t], every term depends on k+t only, so `collapsed`, the polynomials
-    and the moments read only the build's integer collapse of the cells by
-    power j = k+t (see `_ForwardBuild.collapse`).
+    <= K of `build`, which `coeffs` shows as {(k, t): Fraction}; at n = 2
+    they are made on its first read, or for the last-column monitor below
+    where it runs.  Past c[k,t], every term depends on k+t only,
+    so `collapsed`, the polynomials and the moments read only the build's
+    integer collapse of the cells by power j = k+t, over the least common
+    denominator D (see `_ForwardBuild.collapse`).  `diagnostics` holds K,
+    t_max, the mass and the relative last K increment, and, where the inner
+    series does not end by t_max, the last column's share of the mass; both
+    monitors enter `converged`, and both are estimates, not bounds.
     """
 
     def __init__(self, build: _ForwardBuild, K: int):
@@ -850,7 +950,7 @@ class SeriesTable:
         self.const = build.const
         self.rho = build.spec.rho
         self._denominator, self._nums, self._last_row = build.collapse(K)
-        self.coeffs = _Cells(build.rows[:K + 1])
+        self.coeffs = _Cells(build, K)
         self._collapsed: Optional[List[Fraction]] = None
         self._polys: Dict[bool, _Poly] = {}
         # the lazy Taylor centres: integer shifts by r, float centres by
@@ -866,22 +966,35 @@ class SeriesTable:
             "last_increment_rel": rel_last if K else float("inf"),
             "mass": mass,
         }
+        if not build.terminates:
+            num, den = build.last_column(K)
+            total, total_den, _ = self._moment_sums(0)
+            self.diagnostics["last_column_rel"] = (
+                abs(num * total_den / (den * total)) if total else float("inf"))
 
     # -- diagnostics ---------------------------------------------------------
 
     @property
     def converged(self) -> bool:
-        return self.diagnostics["last_increment_rel"] < MONITOR_TOLERANCE
+        d = self.diagnostics
+        return (d["last_increment_rel"] < MONITOR_TOLERANCE
+                and d.get("last_column_rel", 0.0) < MONITOR_TOLERANCE)
 
     def _warn_if_unconverged(self) -> None:
-        """Warns once per table; every public method that reads values calls
-        this itself, so that stacklevel=3 names its caller's line."""
+        """Warns once per table, naming each monitor that fails; every public
+        method that reads values calls this itself, so that stacklevel=3
+        names its caller's line."""
         if not self.converged and not self._warned:
             self._warned = True
+            d, signs = self.diagnostics, []
+            if not d["last_increment_rel"] < MONITOR_TOLERANCE:
+                signs.append(f"relative last increment {d['last_increment_rel']:.2e}")
+            if not d.get("last_column_rel", 0.0) < MONITOR_TOLERANCE:
+                signs.append(f"last column t={d['t_max']} at {d['last_column_rel']:.2e} "
+                             "of the mass")
             warnings.warn(
-                f"series truncation K={self.K} shows relative last increment "
-                f"{self.diagnostics['last_increment_rel']:.2e}; results may be off",
-                TruncationWarning, stacklevel=3)
+                f"series truncation K={self.K} shows {' and '.join(signs)}; "
+                "results may be off", TruncationWarning, stacklevel=3)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Integer partitions: canonical form, enumeration, dominance, conjugation, hooks.
+"""Integer partitions: canonical form, enumeration, conjugation, hooks.
 
 A partition is a weakly decreasing tuple of positive integers.  The empty
 tuple is the unique partition of 0.  Trailing zeros are never stored; they
@@ -44,22 +44,6 @@ def conjugate(kappa: Partition) -> Partition:
     for i in range(len(kappa), 0, -1):  # columns of length exactly i
         out.extend([i] * (kappa[i - 1] - (kappa[i] if i < len(kappa) else 0)))
     return tuple(out)
-
-
-def dominates(kappa: Partition, mu: Partition) -> bool:
-    """True when kappa >= mu in the dominance order (equal weights).
-
-    Only a partial order: (4,1,1) and (3,3), say, are incomparable, although
-    tuple order puts the first above the second.
-    """
-    assert sum(kappa) == sum(mu), "dominance is defined within a fixed weight"
-    total_k = total_m = 0
-    for i in range(max(len(kappa), len(mu))):
-        total_k += kappa[i] if i < len(kappa) else 0
-        total_m += mu[i] if i < len(mu) else 0
-        if total_k < total_m:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .partitions import (Partition, lower_hook_product, normalize,
                          upper_hook_product)
@@ -127,17 +127,6 @@ def jack_at_identity(kappa: Partition, beta, m: int) -> Fraction:
     poch = gen_pochhammer_exact(Fraction(m) * beta / 2, kappa, beta)
     hooks = upper_hook_product(kappa, alpha) * lower_hook_product(kappa, alpha)
     return alpha ** (2 * k) * math.factorial(k) * poch / hooks
-
-
-def pieri_coefficients(lam: Partition, beta, m: int) -> Dict[Partition, Fraction]:
-    """Coefficient of each C_mu in (x_1 + ... + x_m) C_lam, in m variables:
-    the ratios of `pieri_ratios` as Fractions."""
-    lam = normalize(lam)
-    alpha = _alpha(beta)
-    if len(lam) > m:
-        raise ValueError(f"C_{lam} vanishes in {m} variables")
-    return {mu: Fraction(num, den)
-            for mu, num, den in pieri_ratios(lam, alpha.numerator, alpha.denominator, m)}
 
 
 def pieri_ratios(lam: Partition, a: int, b: int, m: int) -> List[Tuple[Partition, int, int]]:

@@ -11,18 +11,19 @@ so L_k(tau) is L_0 applied to the expansion of p_1^k C_tau.  L_k is needed
 up to weight K + t_max - k only.  Every step is a Fraction operation, L_0
 comes from the closed forms of `special` one partition at a time, and the
 Pieri coefficients are the cell-by-cell product, not the telescoped one of
-`special.pieri_coefficients`: the point is an independent derivation, not
-speed.
+`special.pieri_ratios`: the point is an independent derivation, not speed.
 
-`trace_power_product` is the same Pieri walk on one C_tau, and
-`rising_factorial` the scalar's Pochhammer symbol, both over Fractions.
+`pieri_coefficients` gives those telescoped ratios as Fractions, for the
+tests of `special.pieri_ratios`; `trace_power_product` is the same Pieri
+walk on one C_tau, and `rising_factorial` the scalar's Pochhammer symbol,
+both over Fractions.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from jackratio.partitions import conjugate, normalize, partitions_of
-from jackratio.special import gen_pochhammer_exact, jack_at_identity, pieri_coefficients
+from jackratio.special import gen_pochhammer_exact, jack_at_identity, pieri_ratios
 
 
 def rising_factorial(a, n):
@@ -34,12 +35,23 @@ def rising_factorial(a, n):
     return out
 
 
+def pieri_coefficients(lam, beta, m):
+    """Coefficient of each C_mu in (x_1 + ... + x_m) C_lam, in m variables:
+    the ratios of `special.pieri_ratios` as Fractions."""
+    lam = normalize(lam)
+    alpha = 2 / Fraction(beta)
+    if len(lam) > m:
+        raise ValueError(f"C_{lam} vanishes in {m} variables")
+    return {mu: Fraction(num, den)
+            for mu, num, den in pieri_ratios(lam, alpha.numerator, alpha.denominator, m)}
+
+
 def trace_power_product(k, tau, beta, m):
     """(x_1 + ... + x_m)^k C_tau as {delta: coefficient of C_delta}.
 
     The weight-k Jack polynomials sum to p_1^k, so the coefficient of C_delta
     is the sum over every kappa of weight k of its coefficient in
-    C_kappa C_tau.  It is k applications of `special.pieri_coefficients`.
+    C_kappa C_tau.  It is k applications of `pieri_coefficients`.
     """
     beta = Fraction(beta)
     out = {normalize(tau): Fraction(1)}

@@ -288,6 +288,25 @@ def test_warning_is_one_stderr_line():
     assert json.loads(proc.stdout)["rows"][0]["alpha"] == 0.5
 
 
+def test_series_cut_in_t_warns_and_reports_its_last_column():
+    # the K monitor passes here, so the last column is what shows the cut
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jackratio.cli", "dist", "cdf", "--m", "10", "--n", "2",
+         "--K", "60", "--t-max", "10", "--x", "0.95"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: series truncation K=60 shows last column t=10 at "
+                           "3.37e-02 of the mass; results may be off\n")
+    truncation = json.loads(proc.stdout)["metadata"]["truncation"]
+    assert truncation.keys() == {"K", "t_max", "last_increment_rel", "mass", "last_column_rel"}
+    assert truncation["last_increment_rel"] < 1e-10
+    assert truncation["last_column_rel"] == pytest.approx(3.373e-2, rel=1e-3)
+
+
 def test_warning_format_is_restored(capsys):
     before = warnings.formatwarning
     assert run(capsys, "dist", "quantile", "--m", "10", "--n", "3", "--K", "10",

@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import jackratio.dist as dist_mod
+import moment_oracle
 import quadrature_oracle
 from backward_build import (backward_coeffs, cellwise_pieri_coefficients, delta_functional,
                             rising_factorial)
 from jackratio import esym, jack
-from jackratio.dist import (DistParams, LeadingConstant, SeriesTable, TruncationError,
-                            TruncationWarning, auto_converged_params,
+from jackratio.dist import (MONITOR_TOLERANCE, DistParams, LeadingConstant, SeriesTable,
+                            TruncationError, TruncationWarning, auto_converged_params,
                             get_general_table, get_table)
 from jackratio.jack import jack_expansion, jack_product
 from jackratio.partitions import partitions_of
@@ -393,6 +394,53 @@ def test_truncation_warning_names_the_callers_line():
         assert [w.filename for w in seen] == [__file__], name
 
 
+def column_share(table):
+    """|sum_k c[k,t_max] / sum_{k,t} c[k,t]| from the cells, as Fractions."""
+    t_max = table.build.spec.t_max
+    cells = dict(table.coeffs)
+    column = sum((c for (k, t), c in cells.items() if t == t_max), Fraction(0))
+    return abs(column / sum(cells.values()))
+
+
+@pytest.mark.parametrize("params", [
+    DistParams(m=10, n=2, beta=1, K=60, t_max=10), DistParams(m=10, n=2, beta=1, K=20, t_max=10),
+    DistParams(m=11, n=3, beta=1, K=12, t_max=8), DistParams(m=6, n=4, beta=1, K=6, t_max=5),
+    # a terminating shape cut below its natural t_max (14)
+    DistParams(m=10, n=3, beta=2, K=20, t_max=9),
+])
+def test_last_column_monitor_on_series_cut_in_t(params):
+    drop_table(params)  # a fresh table, which has not warned yet
+    table = quiet_table(params)
+    share = table.diagnostics["last_column_rel"]
+    assert share == pytest.approx(float(column_share(table)), rel=1e-15)
+    assert share > MONITOR_TOLERANCE
+    assert not table.converged
+    with pytest.warns(TruncationWarning, match=f"last column t={params.t_max} at"):
+        table.cdf(0.5)
+
+
+def test_last_column_monitor_catches_a_silent_cut():
+    # at (10,2,1,K=60,t_max=10) the K monitor passes, but the mass is 0.949
+    # and cdf(0.95) is off by 1.5e-2; the column holds 3.4e-2 of the mass
+    params = DistParams(m=10, n=2, beta=1, K=60, t_max=10)
+    drop_table(params)
+    table = get_table(params)
+    assert table.diagnostics["last_increment_rel"] < MONITOR_TOLERANCE
+    assert table.diagnostics["last_column_rel"] == pytest.approx(3.373e-2, rel=1e-3)
+    with pytest.warns(TruncationWarning, match=r"K=60 shows last column t=10 at 3\.37e-02 of"):
+        value = table.cdf(0.95)
+    assert abs(value - quadrature_oracle.cdf(10, 1, 0.95)) > 1e-2
+
+
+@pytest.mark.parametrize("params", [
+    DistParams(m=10, n=3, beta=1, K=25), DistParams(m=105, n=2, beta=1, K=50),
+    # past the natural t_max the last columns are zero
+    DistParams(m=10, n=3, beta=1, K=8, t_max=12), DistParams(m=5, n=2, beta=1, K=10, t_max=3),
+])
+def test_no_column_monitor_where_the_inner_series_terminates(params):
+    assert "last_column_rel" not in quiet_table(params).diagnostics
+
+
 def test_no_warning_when_converged():
     params = auto_converged_params(5, 2, 1)
     with warnings.catch_warnings():
@@ -524,6 +572,33 @@ def test_forward_build_matches_backward_oracle(params):
     assert table.coeffs == backward_coeffs(table.build.spec, table.K)
 
 
+# n = 2 shapes for the closed-form oracle, as (m, beta, table): the sweep at
+# its auto K, beta = 4, t_max = 0, an explicit t_max on a non-terminating
+# shape, and the square real case (p = -1/2, every a_t > 0)
+N2_ORACLE_SHAPES = [
+    *(pytest.param(m, beta, lambda m=m, beta=beta: get_table(auto_converged_params(m, 2, beta)),
+                   id=f"{m},2,{beta},auto") for beta in (1, 2) for m in range(5, 146, 20)),
+    pytest.param(9, 4, lambda: get_table(DistParams(m=9, n=2, beta=4, K=40)), id="9,2,4,K=40"),
+    pytest.param(3, 1, lambda: get_table(DistParams(m=3, n=2, beta=1, K=0)), id="3,2,1,K=0"),
+    pytest.param(3, 1, lambda: get_table(DistParams(m=3, n=2, beta=1, K=10)), id="3,2,1,K=10"),
+    pytest.param(10, 1, lambda: get_table(DistParams(m=10, n=2, beta=1, K=20, t_max=10)),
+                 id="10,2,1,K=20,t_max=10"),
+    pytest.param(2, 1, lambda: get_general_table(2, 2, 20, t_max=12), id="general(2,2),K=20,t_max=12"),
+]
+
+
+@pytest.mark.parametrize("m, beta, make", N2_ORACLE_SHAPES)
+def test_n2_cells_and_collapse_match_closed_form_oracle(m, beta, make):
+    table = make()
+    K, t_max = table.K, table.build.spec.t_max
+    want = moment_oracle.cells(m, beta, K, t_max)
+    assert dict(table.coeffs) == want
+    assert table.collapsed() == moment_oracle.collapse(want, K, t_max)
+    D = table._denominator
+    assert {t: Fraction(v, D) for t, v in table._last_row} == \
+        {t: c for (k, t), c in want.items() if k == K}
+
+
 def test_delta_functional_matches_closed_forms():
     # the box-by-box recurrence against the closed forms, one partition each
     for m, n, beta in ((10, 2, 1), (10, 3, 2), (10, 3, 4), (11, 4, 1), (9, 5, 2)):
@@ -640,43 +715,47 @@ def digest(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-# SHA-256 of (_denominator, _nums, _last_row) and of the sorted cells (k, t,
-# numerator, denominator) of every table the n = 2 searches build, recorded
-# when each Pieri step still ran: the build that skips them must match
+# SHA-256 of the collapse and row K as Fractions, N_j/D and (t, v/D), and of
+# the sorted cells (k, t, numerator, denominator) of every table the n = 2
+# searches build.  The cells were recorded when each Pieri step still ran,
+# the Fractions when the collapse still summed the cells one by one: the
+# build that skips the steps and the collapse by one polynomial product must
+# match both.  The hashes pin values, not the common denominator D, which
+# the collapse is free to choose (it is now the least one)
 N2_SEARCH_DIGESTS = {
-    (5, 25): ("53a1bccc570e445dae009fc1fab08385fed765bc80d36888be65648c4a74b4f4",
+    (5, 25): ("b5450038f4d2230683d16d65e187991a8a1db359d28d72dabae5865cf49d070b",
               "48461f0d849c8227b131b0c4fe6acf900746d7eafab76881b3d4fb31ceccdf9a"),
-    (5, 50): ("4b388fcb726ca305499f60fd57eee435053be73e6a38390082eeede3bb8a4ca8",
+    (5, 50): ("6f96d0267a4d3f54ab638bed36ad85725ab2403e0cbbcc31907bc7753bfa3b69",
               "38dfa3bdf81152a1a7d752cb522275170ce3c44a5804653801bc6ef511878850"),
-    (25, 25): ("8386fa9fcc2c3b3c017af6314078843ddf4c058a085dbfe9006b58c2755a208f",
+    (25, 25): ("0232998c7b7fafc0023f1a38b501e1efc747e4c806c14c8f69ba8e6696f08d6d",
                "966159d916305336766fa80437b408780b5439382f387ab8aa3cfcc26e19125d"),
-    (25, 50): ("e48ef3f1b2932c5258f16c48a93c5c6e6302de83f5fe9a5d94cc1d0334df51aa",
+    (25, 50): ("1b8714af306b89f5977871c92f69b854988df9932adf122053a4fbae75b16e69",
                "dc4261c5b4c811a39f300fe8b6112c6b13674bf3a927039821dcc6818f9527da"),
-    (25, 100): ("9acefcfddfb2a7581528f92875d609217d927dbcebc4641b4471c131a58e38d7",
+    (25, 100): ("cd840e9354fb0a957bc7eabaffa1a0730bbf2d09bbfb45d64fd92100c16cdeb0",
                 "9716fdf8c1949851f89e85fe9f85398a3efff06d55324c429e1d794c7bd974b5"),
-    (45, 25): ("c77d0f4c0a741755b35091684eceb068a774fbabd0362a5e643dfb572b392c02",
+    (45, 25): ("a7bd01121d7fdcf5010008998da5b26566f57eca30c307110a81b14205866050",
                "17b17c0cfb98f445219bcf544c60338bc00e27043161fd36731cf70485047574"),
-    (45, 50): ("52c2a6a47f772f03cd4fab4fb607cbed4c5fcb95989a32c06e269960e6aa7f37",
+    (45, 50): ("5000ceb1dafff87c3703b4e36db3d1cb9dbb899163db51ba65c89cd05abad108",
                "9b31cf0d8b36a644a3c7e4e785839007394c26e4b617789180e10004f258e5cb"),
-    (45, 100): ("e885192206ba2c427f32f04f4df8629331413a682912bd67534ccdc98f68364b",
+    (45, 100): ("4818ad9e6324bd6c04794c7066d5a4b3166421dea337cdc551fbe049da910a7d",
                 "07d5667aab614d351e168a0cb325877936d1897233ccac57512399ff6105a1c3"),
-    (65, 25): ("5644eac60faf25d3051f3310e699a2abdbc729af1bb08ca37b9828005f5ad55a",
+    (65, 25): ("5c5f450683c786257273b4716333219d186be4dd36d32aafccd9432ef4fe28be",
                "374f7509bad46490536b575ccef2710f47414f0476a35f58183ea52180a21768"),
-    (65, 50): ("b76d1090b2f40cd1b3361161e21f8d7d09bcc19cfe9a29a9608fb1cd31d3045a",
+    (65, 50): ("4023298146ec0373f7e4a67f7329f2f2243e70015d82268f5528fa945f851eb0",
                "d93fb03cdb86c4a5dea219e1d5e5c889dc3d57a66b45227e5c5d7b21ccaec6f0"),
-    (65, 100): ("0a488712974767abfa38769e1f38b0d6de8ac898ac47ccbbd641ff32bafb987b",
+    (65, 100): ("ec539beb49450cd7a1b7a59265543a08c4d4f2ea648b58075157d0caf53ae7b6",
                 "bc3c97d8c0e1a40bad5c84fd7aed924dc7c9b8de40a9320f266220bf656e65ea"),
-    (85, 25): ("d2f486232a00adb77c27293c8fdc8b6b01817e0169e353591a04b142418fe333",
+    (85, 25): ("84f3d9939ac48da72a86bafe6836cfb7f971ff78d42cd340f612aa712b707ebb",
                "4770e8b4ab4cbf92e451702ced9533a4d33427e7a25c454b0061214fbd717e7a"),
-    (85, 50): ("fab06f7f1e1462b81427bdb9568b03e34c8e6f58c1a13b989cf3eca8baadad77",
+    (85, 50): ("19866da28a5c1adb05ec2b66e490487aa5aa40d469b063c6644d3984ac3a8baf",
                "2f4eb36f914331c5a308acd319ad94f751d6322d372381c82cd0eafb19457c0b"),
-    (85, 100): ("44c21514de5ea028bf465c6a07efd32b825fe6457c3f62a802b53203824932a4",
+    (85, 100): ("f1e063d50de5a727b2fd9344307d4d378df404de72431197a1c59f5a0f45337a",
                 "7c3b89bb630dc092b15516b6188e4ca33d01267c8cd72c1391b87cddfcda84d3"),
-    (105, 25): ("73f7b1180778431e7edc016c8c3f404e675309e7e6206b9822957459971eca69",
+    (105, 25): ("4c4ebc964f80a241f51eb98d3173a5884d6a87dc2eaa4950159c326e9f00539b",
                 "935dc9f9eba22474b07325704a4f9d6b02a220af00357d63ac6619526f71b36d"),
-    (105, 50): ("414444799d6c27e6475d7f80e573f284fe8a6a4e870f993e7123d62739330854",
+    (105, 50): ("3ad15463b7b3716b035cf591f861a512c0e886ee5193628383f4fa438a415d95",
                 "389f92cec6c75722169eac93bee19296ffb8601183352684adc0a4502411452a"),
-    (105, 100): ("c678e8b830ec3a62644783449566d24af75132a6a71029c4a4468e84335a1b38",
+    (105, 100): ("afa8859472adf3aa79946679987ada1c6e4c5613182b1739a47a103ec8217731",
                  "9e53057e0be6c5b3610007a4891986e4b1e98dc937bd064d147f3aa4542153dc"),
 }
 
@@ -690,9 +769,37 @@ def test_n2_search_tables_match_recorded_digests():
         for K, table in build.tables.items():
             cells = sorted((k, t, c.numerator, c.denominator)
                            for (k, t), c in table.coeffs.items())
-            found[(m, K)] = (digest((table._denominator, table._nums, table._last_row)),
+            D = table._denominator
+            found[(m, K)] = (digest(([Fraction(n, D) for n in table._nums],
+                                     [(t, Fraction(v, D)) for t, v in table._last_row])),
                              digest(cells))
     assert found == N2_SEARCH_DIGESTS
+
+
+def test_collapse_denominator_is_least():
+    # D shares no factor with every N_j and row K: it is the least common
+    # denominator of the table's exact data, at n = 2 and at n >= 3
+    tables = []
+    for m in range(5, 106, 20):
+        clear_build_caches()
+        auto_converged_params(m, 2, 1, moments=4)
+        (build,) = dist_mod._BUILDS.values()
+        tables += build.tables.values()
+    tables.append(quiet_table(DistParams(m=10, n=3, beta=1, K=50)))
+    assert len(tables) == 18
+    for table in tables:
+        assert math.gcd(table._denominator, *table._nums,
+                        *(v for _, v in table._last_row)) == 1, (table.build.spec, table.K)
+
+
+def test_n2_collapse_makes_no_cell_until_coeffs_is_read():
+    clear_build_caches()
+    params = auto_converged_params(105, 2, 1, moments=4)
+    build = dist_mod._BUILDS[(105, 2, 1, 51)]
+    assert build.rows == []
+    table = get_table(params)
+    assert len(table.coeffs) == 101 * 52
+    assert len(build.rows) == params.K + 1 == 101
 
 
 def test_one_build_owns_the_tables_of_a_search():

@@ -11,6 +11,22 @@ from operator_oracle import apply_operator, oracle_row
 from jackratio.partitions import partitions_of, weight
 
 
+def dominates(kappa, mu):
+    """True when kappa >= mu in the dominance order (equal weights).
+
+    Only a partial order: (4,1,1) and (3,3), say, are incomparable, although
+    tuple order puts the first above the second.
+    """
+    assert sum(kappa) == sum(mu), "dominance is defined within a fixed weight"
+    total_k = total_m = 0
+    for i in range(max(len(kappa), len(mu))):
+        total_k += kappa[i] if i < len(kappa) else 0
+        total_m += mu[i] if i < len(mu) else 0
+        if total_k < total_m:
+            return False
+    return True
+
+
 def eval_e_term(lam, m, xs):
     # independent evaluation: product of elementary symmetric polynomials
     total = Fraction(1)
@@ -91,7 +107,6 @@ def test_rows_reject_bad_input():
 
 def test_operator_is_triangular_in_dominance():
     # entries appear only at partitions dominated by the source
-    from jackratio.partitions import dominates
     for k in range(1, 7):
         for m in (2, 3):
             for nu in partitions_of(k, m):
@@ -133,7 +148,6 @@ def test_apply_operator_linear():
 def test_eigenvalue_separation_along_dominance():
     # strictly larger in dominance order means strictly larger eigenvalue;
     # lex order alone is NOT enough, see the collision test below
-    from jackratio.partitions import dominates
     for k in range(1, 9):
         for m in (2, 3, 4):
             parts = partitions_of(k, m)

@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from backward_build import cellwise_pieri_coefficients, rising_factorial
+from backward_build import cellwise_pieri_coefficients, pieri_coefficients, rising_factorial
 from jackratio.jack import jack_product
 from jackratio.partitions import partitions_of
 from jackratio.special import (gamma_exact, gen_pochhammer_exact,
-                               jack_at_identity, multivariate_gamma,
-                               pi_exponent, pieri_coefficients)
+                               jack_at_identity, multivariate_gamma, pi_exponent)
 
 
 def value(q, h):
