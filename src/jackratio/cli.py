@@ -5,10 +5,7 @@ partitions to exact rationals, serialized as "p/q" strings.  Distribution and
 simulation subcommands print an envelope with the echoed command, parameters,
 rows, and metadata (JSON): the truncation of each table, or for `sim` the
 draws the sampler sent to `eigvalsh` and resampled.  CSV prints the rows alone.
-
-Set JACKRATIO_CACHE_DIR to persist the memoized Jack expansion tables between
-invocations of `jack expand` and `jack product`, the commands that build
-them; the distribution commands use closed forms and never touch it.
+No command reads or writes any file but those named on its command line.
 """
 
 from __future__ import annotations
@@ -258,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     je.add_argument("--beta", type=_parse_beta_rational, default=Fraction(1))
     je.add_argument("--m", type=int, required=True)
     _add_common(je)
-    je.set_defaults(handler=_cmd_jack_expand, default_format="json", snapshot=True)
+    je.set_defaults(handler=_cmd_jack_expand, default_format="json")
 
     jp = jsub.add_parser("product", help="linearize a product of two Jack polynomials")
     jp.add_argument("--left", type=_parse_partition, required=True)
@@ -266,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     jp.add_argument("--beta", type=_parse_beta_rational, default=Fraction(1))
     jp.add_argument("--m", type=int, required=True)
     _add_common(jp)
-    jp.set_defaults(handler=_cmd_jack_product, default_format="json", snapshot=True)
+    jp.set_defaults(handler=_cmd_jack_product, default_format="json")
 
     lb = sub.add_parser("lb-row", help="differential operator action on one basis element")
     lb.add_argument("--nu", type=_parse_partition, required=True)
@@ -347,16 +344,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             return _write_failed(args.output, exc)
 
-    cache_dir = os.environ.get("JACKRATIO_CACHE_DIR")
-    cache_path = (os.path.join(cache_dir, "jack_cache.json")
-                  if cache_dir and getattr(args, "snapshot", False) else None)
-    if cache_path and os.path.exists(cache_path):
-        from .jack import load_expansion_cache
-        try:
-            load_expansion_cache(cache_path)
-        except (ValueError, OSError) as exc:
-            print(f"ignoring unusable cache {cache_path}: {exc}", file=sys.stderr)
-
     # one line per warning; the caller's filters and recorders still apply
     saved_format = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
@@ -370,14 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _write_failed(exc.filename, exc)
     finally:
         warnings.formatwarning = saved_format
-
-    if cache_path:
-        from .jack import save_expansion_cache
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            save_expansion_cache(cache_path)
-        except OSError as exc:
-            print(f"could not save cache {cache_path}: {exc}", file=sys.stderr)
 
     if args.output:
         try:

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from backward_build import trace_power_product
+from jackratio import jack
 from jackratio.esym import EPolynomial, eigenvalue_closed_form
-from jackratio.jack import (clear_caches, e_to_jack, jack_at_identity,
-                            jack_expansion, jack_product,
-                            leading_elementary_coeff, load_expansion_cache,
-                            save_expansion_cache)
-from jackratio.partitions import partitions_of
+from jackratio.jack import (DegenerateBetaError, _vertical_strips, clear_caches,
+                            e_to_jack, jack_at_identity, jack_expansion,
+                            jack_product, leading_elementary_coeff,
+                            load_expansion_cache, save_expansion_cache)
+from jackratio.partitions import conjugate, partitions_of
 from operator_oracle import apply_operator
 
 BETAS = (Fraction(1), Fraction(2), Fraction(4), Fraction(1, 2), Fraction(3, 7))
@@ -122,6 +123,146 @@ def test_product_mass_identity():
         for delta, g in jack_product(kappa, tau, beta, m).terms:
             lhs += g * jack_at_identity(delta, beta, m)
         assert lhs == jack_at_identity(kappa, beta, m) * jack_at_identity(tau, beta, m)
+
+
+def e_basis_product(kappa, tau, beta, m):
+    """The oracle: both factors in the E basis, multiplied, peeled back."""
+    return e_to_jack(jack_expansion(kappa, beta, m) * jack_expansion(tau, beta, m), beta)
+
+
+@pytest.mark.parametrize("beta", [Fraction(1), Fraction(2), Fraction(4),
+                                  Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+def test_product_matches_e_basis_product(beta):
+    # every ordered pair of total weight <= 7 in 2..5 variables, weight-0
+    # factors included; == on the records checks the term order as well
+    for m in range(2, 6):
+        for total in range(8):
+            for k in range(total + 1):
+                for kappa in partitions_of(k, m):
+                    for tau in partitions_of(total - k, m):
+                        assert jack_product(kappa, tau, beta, m) == \
+                            e_basis_product(kappa, tau, beta, m), (kappa, tau, m)
+
+
+def _in_c_basis(p_terms, lead, beta):
+    """sum_lam g_lam P_lam, times the constant `lead`, in the C basis."""
+    return {lam: g * lead / leading_elementary_coeff(lam, beta)
+            for lam, g in p_terms.items() if g}
+
+
+def test_vertical_strip_rule_matches_e_basis_product():
+    # C_(1^r) = c_(1^r) e_r, so C_mu C_(1^r) = c_mu c_(1^r) P_mu e_r
+    for beta in BETAS[:4]:
+        for m in (3, 4):
+            for k in range(5):
+                for mu in partitions_of(k, m):
+                    for r in range(1, m + 1):
+                        col = (1,) * r
+                        lead = (leading_elementary_coeff(mu, beta)
+                                * leading_elementary_coeff(col, beta))
+                        got = _in_c_basis(dict(_vertical_strips(mu, r, m, 2 / beta)),
+                                          lead, beta)
+                        assert got == e_basis_product(mu, col, beta, m).as_dict()
+
+
+def _b(arm, leg, alpha):
+    return (alpha * arm + leg + 1) / (alpha * (arm + 1) + leg)
+
+
+def _horizontal_strips(mu, r, m):
+    """The lam in at most m rows with lam/mu a horizontal r-strip:
+    mu_i <= lam_i <= mu_(i-1)."""
+    parts = mu + (0,) * (min(m, len(mu) + 1) - len(mu))
+
+    def fill(i, left):
+        if i == len(parts):
+            if not left:
+                yield ()
+            return
+        top = left if i == 0 else min(left, parts[i - 1] - parts[i])
+        for d in range(top, -1, -1):
+            for rest in fill(i + 1, left - d):
+                yield (parts[i] + d,) + rest
+
+    return [tuple(p for p in lam if p) for lam in fill(0, r)]
+
+
+def _phi(lam, mu, alpha):
+    """phi_(lam/mu) = prod b_lam(s)/b_mu(s) over the cells s of lam in the
+    columns that meet lam/mu, with b_mu(s) = 1 outside mu."""
+    lc, mc = conjugate(lam), conjugate(mu)
+    out = Fraction(1)
+    for j in range(len(lc)):
+        height = mc[j] if j < len(mc) else 0
+        if lc[j] == height:
+            continue
+        for i in range(lc[j]):
+            out *= _b(lam[i] - j - 1, lc[j] - i - 1, alpha)
+            if i < height:
+                out /= _b(mu[i] - j - 1, height - i - 1, alpha)
+    return out
+
+
+def test_horizontal_strip_rule_matches_e_basis_product():
+    # the second, independent strip rule: P_mu g_r = sum phi_(lam/mu) P_lam
+    # with g_r = b_(r) P_(r), b_(r) = prod over the cells of (r) of b(s)
+    for beta in BETAS[:4]:
+        alpha = 2 / beta
+        for m in (2, 3, 4):
+            for k in range(5):
+                for mu in partitions_of(k, m):
+                    for r in range(1, 4):
+                        b_r = Fraction(1)
+                        for j in range(r):
+                            b_r *= _b(r - j - 1, 0, alpha)
+                        lead = (leading_elementary_coeff(mu, beta)
+                                * leading_elementary_coeff((r,), beta) / b_r)
+                        p_terms = {lam: _phi(lam, mu, alpha)
+                                   for lam in _horizontal_strips(mu, r, m)}
+                        assert _in_c_basis(p_terms, lead, beta) == \
+                            e_basis_product(mu, (r,), beta, m).as_dict()
+
+
+def test_product_rejects_a_factor_with_too_many_parts():
+    # the long factor is not the one expanded, so it is checked on its own
+    for kappa, tau, long in [((1, 1, 1, 1), (1,), (1, 1, 1, 1)),
+                             ((1,), (2, 1, 1, 1), (2, 1, 1, 1)),
+                             ((1, 1, 1, 1), (3, 1, 1, 1), (1, 1, 1, 1))]:
+        with pytest.raises(ValueError) as exc:
+            jack_product(kappa, tau, 1, 3)
+        assert str(exc.value) == f"C_{long} vanishes in 3 variables"
+
+
+def test_product_with_a_weight_zero_factor():
+    for beta in (Fraction(1), Fraction(2, 3)):
+        assert jack_product((), (2, 1), beta, 3).terms == (((2, 1), Fraction(1)),)
+        assert jack_product((3, 1), (), beta, 3).terms == (((3, 1), Fraction(1)),)
+        assert jack_product((), (), beta, 2).terms == (((), Fraction(1)),)
+
+
+def test_product_raises_degenerate_beta_exactly_when_the_lighter_expansion_does(
+        monkeypatch):
+    expanded = []
+
+    def expansion(kappa, beta, m):
+        expanded.append(kappa)
+        if kappa in collide:
+            raise DegenerateBetaError(f"collision in {kappa}")
+        return jack_expansion(kappa, beta, m)
+
+    monkeypatch.setattr(jack, "jack_expansion", expansion)
+    collide = {(2, 1)}
+    for kappa, tau in [((3, 1), (2, 1)), ((2, 1), (3, 1))]:
+        with pytest.raises(DegenerateBetaError):
+            jack_product(kappa, tau, 1, 3)
+    assert expanded == [(2, 1), (2, 1)]
+    # a collision in the heavier factor is never met: it is not expanded
+    expanded.clear()
+    collide = {(3, 1)}
+    got = jack_product((3, 1), (2, 1), 1, 3)
+    assert expanded == [(2, 1)]
+    monkeypatch.undo()
+    assert got == e_basis_product((3, 1), (2, 1), 1, 3)
 
 
 def test_trace_power_product_matches_per_partition_sum():
